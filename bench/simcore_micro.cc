@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <queue>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/arch/page_table.h"
 #include "src/arch/tlb.h"
 #include "src/backends/platform.h"
+#include "src/core/spt_locks.h"
 #include "src/mmu/two_dim_walk.h"
 #include "src/obs/span.h"
 #include "src/sim/random.h"
@@ -184,6 +186,24 @@ void BM_ResourceContention(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 3200);
 }
 BENCHMARK(BM_ResourceContention);
+
+// Resource registry churn: 20k lazily created per-gfn rmap locks, then
+// ~SptLockSet destroying them in unordered_map iteration order, as a pvm
+// (NST) teardown does. Registering and unregistering must each be O(1); a
+// registry that searches on unregister makes the teardown quadratic.
+void BM_ResourceChurn(benchmark::State& state) {
+  const auto locks = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    Simulation sim;
+    SptLockSet set(sim, "vm0", /*fine_grained=*/true);
+    for (std::uint64_t gfn = 0; gfn < locks; ++gfn) {
+      set.rmap_lock(gfn);
+    }
+    benchmark::DoNotOptimize(sim.resources().size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * locks));
+}
+BENCHMARK(BM_ResourceChurn)->Arg(20000);
 
 void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
   // static: google-benchmark may invoke the function several times while

@@ -17,7 +17,8 @@ namespace pvm {
 
 class LatencyHistogram {
  public:
-  static constexpr std::size_t kBucketCount = 64;
+  // bucket_index() is bit_width(v): 0 for v = 0 up to 64 for v >= 2^63.
+  static constexpr std::size_t kBucketCount = 65;
 
   void record(std::uint64_t value_ns) {
     ++count_;

@@ -8,6 +8,12 @@
 // belongs to, so `Simulation::blocked_report()` can name who is parked where
 // when a run deadlocks.
 //
+// A Resource allocates nothing until it is used: both queues allocate on
+// first push, and the wait histogram on the first contended acquire, so the
+// tens of thousands of lazily created SPT locks that never contend cost only
+// their inline size. Resources register with their Simulation on
+// construction (an intrusive list, O(1) both ways; see Simulation::resources).
+//
 // Usage inside a Task:
 //   ScopedResource guard = co_await lock.scoped();   // released at scope exit
 // or the manual form:
@@ -20,12 +26,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 
 #include "src/metrics/histogram.h"
 #include "src/obs/flight.h"
 #include "src/obs/span.h"
+#include "src/sim/fifo.h"
 #include "src/sim/simulation.h"
 
 namespace pvm {
@@ -61,11 +68,11 @@ class Resource {
 
   Resource(Simulation& sim, std::string name, std::uint32_t capacity = 1)
       : sim_(&sim), name_(std::move(name)), capacity_(capacity), available_(capacity) {
-    sim_->register_resource(this);
+    sim_->resources_.push_back(this);
   }
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
-  ~Resource() { sim_->unregister_resource(this); }
+  ~Resource() { sim_->resources_.erase(this); }
 
   struct AcquireAwaiter {
     Resource* resource;
@@ -105,7 +112,10 @@ class Resource {
         ++resource->contended_acquisitions_;
         const SimTime wait = resource->sim_->now() - enqueue_time;
         resource->total_wait_ns_ += wait;
-        resource->wait_hist_.record(wait);
+        if (!resource->wait_hist_) {
+          resource->wait_hist_ = std::make_unique<LatencyHistogram>();
+        }
+        resource->wait_hist_->record(wait);
         if (wait_span.valid()) {
           if (obs::SpanRecorder* spans = resource->sim_->spans()) {
             spans->end_lock_wait(wait_span, resource->name_);
@@ -158,14 +168,20 @@ class Resource {
   SimTime total_hold_ns() const { return total_hold_ns_; }
   std::size_t peak_queue_depth() const { return peak_queue_depth_; }
   std::size_t queue_depth() const { return waiters_.size(); }
-  const std::deque<Waiter>& waiters() const { return waiters_; }
+  // Parked waiters, oldest first.
+  const Fifo<Waiter>& waiters() const { return waiters_; }
   // Distribution of contended waits (uncontended acquisitions are not
-  // recorded: the interesting signal is queueing, not the fast path).
-  const LatencyHistogram& wait_histogram() const { return wait_hist_; }
+  // recorded: the interesting signal is queueing, not the fast path). Empty
+  // until the first contended acquire allocates it.
+  const LatencyHistogram& wait_histogram() const {
+    static const LatencyHistogram kNoWaits;
+    return wait_hist_ ? *wait_hist_ : kNoWaits;
+  }
   const LatencyHistogram& hold_histogram() const { return hold_hist_; }
 
  private:
   friend struct AcquireAwaiter;
+  friend class ResourceList;  // links, unlinks and walks prev_/next_
 
   void note_acquired() { hold_starts_.push_back(sim_->now()); }
 
@@ -181,18 +197,20 @@ class Resource {
   static constexpr std::uint64_t kNoFlightId = ~0ull;
 
   Simulation* sim_;
+  Resource* prev_ = nullptr;  // registry neighbours, in registration order
+  Resource* next_ = nullptr;
   std::string name_;
   std::uint32_t capacity_;
   std::uint32_t available_;
-  std::deque<Waiter> waiters_;
+  Fifo<Waiter> waiters_;
 
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_acquisitions_ = 0;
   SimTime total_wait_ns_ = 0;
   SimTime total_hold_ns_ = 0;
   std::size_t peak_queue_depth_ = 0;
-  std::deque<SimTime> hold_starts_;
-  LatencyHistogram wait_hist_;
+  Fifo<SimTime> hold_starts_;
+  std::unique_ptr<LatencyHistogram> wait_hist_;
   LatencyHistogram hold_hist_;
   std::uint64_t flight_name_id_ = kNoFlightId;
 };

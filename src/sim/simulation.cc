@@ -1,6 +1,5 @@
 #include "src/sim/simulation.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/fault/fault.h"
@@ -193,11 +192,23 @@ std::size_t Simulation::pending_task_count() const {
   return pending;
 }
 
-void Simulation::register_resource(Resource* resource) { resources_.push_back(resource); }
+ResourceList::iterator& ResourceList::iterator::operator++() {
+  at_ = at_->next_;
+  return *this;
+}
 
-void Simulation::unregister_resource(Resource* resource) {
-  resources_.erase(std::remove(resources_.begin(), resources_.end(), resource),
-                   resources_.end());
+void ResourceList::push_back(Resource* resource) {
+  resource->prev_ = tail_;
+  resource->next_ = nullptr;
+  (tail_ != nullptr ? tail_->next_ : head_) = resource;
+  tail_ = resource;
+  ++size_;
+}
+
+void ResourceList::erase(Resource* resource) {
+  (resource->prev_ != nullptr ? resource->prev_->next_ : head_) = resource->next_;
+  (resource->next_ != nullptr ? resource->next_->prev_ : tail_) = resource->prev_;
+  --size_;
 }
 
 std::string Simulation::blocked_report() const {

@@ -13,6 +13,7 @@
 #define PVM_SRC_SIM_SIMULATION_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -67,6 +68,38 @@ constexpr std::string_view schedule_policy_name(SchedulePolicy policy) {
   }
   return "?";
 }
+
+// The live Resources of one Simulation, oldest registration first. Readers
+// (contention stats, blocked_report, bench exports, postmortems) rely on that
+// order for byte-identical output.
+class ResourceList {
+ public:
+  class iterator {
+   public:
+    explicit iterator(Resource* at) : at_(at) {}
+    Resource* operator*() const { return at_; }
+    iterator& operator++();
+    bool operator==(const iterator&) const = default;
+
+   private:
+    Resource* at_;
+  };
+
+  iterator begin() const { return iterator(head_); }
+  iterator end() const { return iterator(nullptr); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  // O(1) append and unlink, through the links inside each Resource. A
+  // Resource calls these from its constructor and destructor.
+  void push_back(Resource* resource);
+  void erase(Resource* resource);
+
+ private:
+  Resource* head_ = nullptr;
+  Resource* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 class Simulation {
  public:
@@ -162,8 +195,10 @@ class Simulation {
   void add_diagnostic(std::string line) { diagnostics_.push_back(std::move(line)); }
   const std::vector<std::string>& diagnostics() const { return diagnostics_; }
 
-  // Live resources, in registration order (used by contention reporting).
-  const std::vector<Resource*>& resources() const { return resources_; }
+  // Live resources, in registration order (used by contention reporting and
+  // blocked_report). A Resource registers on construction and unregisters on
+  // destruction, each in O(1): the list is threaded through the Resources.
+  const ResourceList& resources() const { return resources_; }
 
   // Runs until the event queue is empty. Returns the number of events
   // processed. Throws if a root task terminated with an exception.
@@ -186,11 +221,6 @@ class Simulation {
   // run() returned with !all_tasks_done(); empty string when nothing is
   // pending.
   std::string blocked_report() const;
-
-  // Resource registry (used by blocked_report). Resources register on
-  // construction and unregister on destruction.
-  void register_resource(Resource* resource);
-  void unregister_resource(Resource* resource);
 
   // Destroys every root coroutine frame (running their destructors, which
   // release any Resources the frames still hold) and drops all queued
@@ -239,6 +269,8 @@ class Simulation {
   }
 
  private:
+  friend class Resource;  // links itself into resources_
+
   static const void* thread_key() {
     thread_local char key;
     return &key;
@@ -281,7 +313,7 @@ class Simulation {
   CalendarQueue queue_;
   std::vector<std::coroutine_handle<TaskPromise<void>>> roots_;
   std::vector<std::string> root_names_;
-  std::vector<Resource*> resources_;
+  ResourceList resources_;
   std::vector<std::string> diagnostics_;
   obs::SpanRecorder* spans_ = nullptr;
   fault::FaultInjector* faults_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string_view>
 
@@ -93,6 +95,17 @@ TEST(LatencyHistogramTest, QuantileBracketsValues) {
   EXPECT_GE(p50, 500u);
   EXPECT_LE(p50, 1023u);
   EXPECT_GE(h.quantile(1.0), 1000u);
+}
+
+TEST(LatencyHistogramTest, TopBucketHoldsValuesFromTwoToTheSixtyThree) {
+  // bit_width(v) is 64 for v >= 2^63, one past the 0..63 buckets of the
+  // values below it.
+  LatencyHistogram h;
+  h.record(1ull << 63);
+  h.record(~0ull);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.max(), ~0ull);
+  EXPECT_EQ(h.quantile(1.0), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(LatencyHistogramTest, ResetClears) {

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/core/spt_locks.h"
 #include "src/sim/random.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
@@ -366,6 +370,130 @@ TEST(ResourceTest, MoveAssignGuardReleases) {
   sim.run();
 }
 
+TEST(ResourceTest, PoolMatchesReleasesToAcquisitionsFifo) {
+  // Three outstanding holds on a capacity-3 pool; a release does not say
+  // which unit it returns, so it is matched to the oldest acquisition.
+  Simulation sim;
+  Resource pool(sim, "pool", 3);
+  sim.spawn([](Simulation& s, Resource& r) -> Task<void> {
+    co_await r.acquire();  // t=0
+    co_await s.delay(10);
+    co_await r.acquire();  // t=10
+    co_await s.delay(10);
+    co_await r.acquire();  // t=20
+    co_await s.delay(10);
+    r.release();  // t=30, matches t=0: 30
+    co_await s.delay(10);
+    co_await r.acquire();  // t=40
+    co_await s.delay(10);
+    r.release();  // t=50, matches t=10: 40
+    co_await s.delay(10);
+    r.release();  // t=60, matches t=20: 40
+    co_await s.delay(10);
+    r.release();  // t=70, matches t=40: 30
+  }(sim, pool));
+  sim.run();
+  EXPECT_EQ(pool.acquisitions(), 4u);
+  EXPECT_EQ(pool.contended_acquisitions(), 0u);
+  EXPECT_EQ(pool.total_hold_ns(), 140u);
+  // LIFO matching would give the same total but holds {10, 10, 50, 70}.
+  const LatencyHistogram& hold = pool.hold_histogram();
+  EXPECT_EQ(hold.count(), 4u);
+  EXPECT_EQ(hold.min(), 30u);
+  EXPECT_EQ(hold.max(), 40u);
+  EXPECT_EQ(pool.wait_histogram().count(), 0u);
+  EXPECT_TRUE(pool.available());
+}
+
+TEST(ResourceTest, DeepQueueWrapsAndStaysFifo) {
+  // More waiters than the queue's first allocation, with wakeups interleaved
+  // with new arrivals, so the ring buffer both grows and wraps.
+  Simulation sim;
+  Resource lock(sim, "lock");
+  std::vector<int> order;
+  for (int i = 0; i < 12; ++i) {
+    sim.spawn([](Simulation& s, Resource& r, std::vector<int>& out, int id) -> Task<void> {
+      co_await s.delay(static_cast<SimTime>(id) * 3);
+      ScopedResource guard = co_await r.scoped();
+      out.push_back(id);
+      co_await s.delay(5);
+    }(sim, lock, order, i));
+  }
+  sim.run();
+  std::vector<int> expected(12);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(lock.acquisitions(), 12u);
+  EXPECT_EQ(lock.wait_histogram().count(), lock.contended_acquisitions());
+  EXPECT_GT(lock.contended_acquisitions(), 0u);
+  EXPECT_EQ(lock.queue_depth(), 0u);
+}
+
+std::vector<std::string> resource_names(const Simulation& sim) {
+  std::vector<std::string> names;
+  for (const Resource* resource : sim.resources()) {
+    names.push_back(resource->name());
+  }
+  return names;
+}
+
+TEST(ResourceRegistryTest, SurvivorsStayInRegistrationOrder) {
+  constexpr int kCount = 64;
+  Simulation sim;
+  std::vector<std::unique_ptr<Resource>> owned;
+  std::vector<std::string> registered;
+  for (int i = 0; i < kCount; ++i) {
+    registered.push_back("r" + std::to_string(i));
+    owned.push_back(std::make_unique<Resource>(sim, registered.back()));
+  }
+  EXPECT_EQ(sim.resources().size(), static_cast<std::size_t>(kCount));
+  EXPECT_EQ(resource_names(sim), registered);
+
+  // Destroy in a seeded shuffle; the head, the tail and middles all go.
+  std::vector<int> doomed(kCount);
+  std::iota(doomed.begin(), doomed.end(), 0);
+  Xoshiro256 rng(42);
+  for (std::size_t i = doomed.size() - 1; i > 0; --i) {
+    std::swap(doomed[i], doomed[rng.next_below(i + 1)]);
+  }
+  std::vector<bool> alive(kCount, true);
+  for (int n = 0; n < kCount; ++n) {
+    owned[static_cast<std::size_t>(doomed[n])].reset();
+    alive[static_cast<std::size_t>(doomed[n])] = false;
+    std::vector<std::string> survivors;
+    for (int i = 0; i < kCount; ++i) {
+      if (alive[static_cast<std::size_t>(i)]) {
+        survivors.push_back(registered[static_cast<std::size_t>(i)]);
+      }
+    }
+    ASSERT_EQ(sim.resources().size(), survivors.size()) << "after destroying " << n + 1;
+    ASSERT_EQ(resource_names(sim), survivors) << "after destroying " << n + 1;
+  }
+  EXPECT_TRUE(sim.resources().empty());
+
+  // The emptied list accepts new registrations again.
+  Resource again(sim, "again");
+  EXPECT_EQ(resource_names(sim), (std::vector<std::string>{"again"}));
+}
+
+TEST(ResourceRegistryTest, SptLockKeepsItsAddressAndNameAcrossRehash) {
+  Simulation sim;
+  SptLockSet locks(sim, "vm0", /*fine_grained=*/true);
+  Resource& lock = locks.rmap_lock(7);
+  for (std::uint64_t gfn = 1000; gfn < 11000; ++gfn) {
+    locks.rmap_lock(gfn);
+  }
+  EXPECT_EQ(&locks.rmap_lock(7), &lock);
+  EXPECT_EQ(lock.name(), "vm0.rmap_lock.7");
+  EXPECT_EQ(locks.rmap_lock_count(), 10001u);
+  // mmu_lock and meta_lock, then the rmap locks in creation order.
+  EXPECT_EQ(sim.resources().size(), 10003u);
+  const std::vector<std::string> names = resource_names(sim);
+  EXPECT_EQ(names[2], "vm0.rmap_lock.7");
+  EXPECT_EQ(names[3], "vm0.rmap_lock.1000");
+  EXPECT_EQ(names.back(), "vm0.rmap_lock.10999");
+}
+
 TEST(SimulationTest, DeterministicAcrossRuns) {
   auto run_once = [] {
     Simulation sim;
@@ -471,6 +599,36 @@ TEST(BlockedReportTest, NamesPendingTasksAndTheirQueues) {
   EXPECT_NE(report.find("lock_b"), std::string::npos);
   // The deadlocked frames hold guards on lock_a/lock_b; destroy them while
   // both locks are still in scope.
+  sim.abandon_pending();
+}
+
+TEST(BlockedReportTest, ListsQueuesInRegistrationOrderAfterAMiddleResourceDies) {
+  Simulation sim;
+  // Registration order differs from name order, so the report shows which
+  // one it follows.
+  Resource zeta(sim, "zeta");
+  auto middle = std::make_unique<Resource>(sim, "middle");
+  Resource alpha(sim, "alpha");
+  middle.reset();
+  // AB-BA deadlock: "forward" parks on alpha at t=10, "backward" on zeta at
+  // t=5.
+  sim.spawn([](Simulation& s, Resource& first, Resource& second) -> Task<void> {
+    ScopedResource a = co_await first.scoped();
+    co_await s.delay(10);
+    ScopedResource b = co_await second.scoped();
+  }(sim, zeta, alpha), "forward");
+  sim.spawn([](Simulation& s, Resource& first, Resource& second) -> Task<void> {
+    ScopedResource b = co_await second.scoped();
+    co_await s.delay(5);
+    ScopedResource a = co_await first.scoped();
+  }(sim, zeta, alpha), "backward");
+  sim.run();
+  EXPECT_EQ(sim.blocked_report(),
+            "2/2 root tasks pending:\n"
+            "  - \"forward\" waiting on \"alpha\" (queued 0 ns ago)\n"
+            "  - \"backward\" waiting on \"zeta\" (queued 5 ns ago)\n"
+            "  resource \"zeta\": capacity 1, 1 queued, ages ns [5]\n"
+            "  resource \"alpha\": capacity 1, 1 queued, ages ns [0]\n");
   sim.abandon_pending();
 }
 
