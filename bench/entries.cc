@@ -47,8 +47,7 @@ double switch_single_level_us(const EntryHooks& hooks) {
   call_on_sim(hooks, sim);
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  HostHypervisor l0(sim, costs, counters, trace, 1u << 20);
+  HostHypervisor l0(sim, costs, counters, 1u << 20);
   HostHypervisor::Vm& vm = l0.create_vm("vm", 1u << 16, false);
 
   const SimTime start = sim.now();
@@ -69,8 +68,7 @@ double switch_pvm_us(const EntryHooks& hooks) {
   call_on_sim(hooks, sim);
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  Switcher switcher(sim, costs, counters, trace);
+  Switcher switcher(sim, costs, counters);
 
   const SimTime start = sim.now();
   sim.spawn([](Switcher& s) -> Task<void> {
@@ -92,8 +90,7 @@ double switch_nested_us(const EntryHooks& hooks) {
   call_on_sim(hooks, sim);
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  HostHypervisor l0(sim, costs, counters, trace, 1u << 20);
+  HostHypervisor l0(sim, costs, counters, 1u << 20);
   HostHypervisor::Vm& l1 = l0.create_vm("l1", 1u << 16, true);
 
   const SimTime start = sim.now();

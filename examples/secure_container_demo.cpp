@@ -32,7 +32,7 @@ DeployMode parse_mode(int argc, char** argv) {
 struct StageReport {
   VirtualPlatform* platform;
   SimTime stage_start = 0;
-  CounterSet snapshot;
+  CounterSet snapshot{};
 
   void begin() {
     stage_start = platform->sim().now();

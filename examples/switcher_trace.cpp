@@ -1,6 +1,7 @@
-// Protocol tracing: performs one fresh-page guest fault under PVM-on-EPT and
-// under EPT-on-EPT with the event trace enabled, and prints the numbered
-// step sequences — a live rendering of the paper's Figure 9 and Figure 3(b).
+// Protocol tracing: performs one fresh-page guest fault under PVM-on-EPT,
+// EPT-on-EPT and SPT-on-EPT and prints each fault's flight timeline (world
+// switches, L0 exits, SPT fills, lock traffic) in execution order — a live
+// rendering of the paper's Figure 9 and Figure 3.
 
 #include <cstdio>
 
@@ -28,7 +29,10 @@ void trace_one_fault(DeployMode mode, const char* title, const char* figure) {
   }(container, proc));
   platform.sim().run();
 
-  platform.trace().set_enabled(true);
+  // Empty the flight rings and make them large enough to hold the whole
+  // traced fault.
+  platform.flight().clear();
+  platform.flight().set_capacity(1 << 16);
   const CounterSet before = platform.counters();
   platform.sim().spawn([](SecureContainer& c, GuestProcess& p) -> Task<void> {
     co_await c.kernel().touch(c.vcpu(0), p, GuestProcess::kHeapBase + kPageSize, true);
@@ -37,7 +41,8 @@ void trace_one_fault(DeployMode mode, const char* title, const char* figure) {
   const CounterSet delta = platform.counters().delta_since(before);
 
   std::printf("=== %s (%s) ===\n", title, figure);
-  std::printf("%s", platform.trace().render().c_str());
+  std::printf("%s",
+              flight::render_flight_timeline(platform.flight(), &platform.sim()).c_str());
   std::printf("-> %llu world switches, %llu exits to L0\n\n",
               static_cast<unsigned long long>(delta.get(Counter::kWorldSwitch)),
               static_cast<unsigned long long>(delta.get(Counter::kL0Exit)));

@@ -15,8 +15,7 @@ namespace pvm {
 class EptMemoryBackend : public MemoryBackendBase {
  public:
   EptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& vm, bool kpti)
-      : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), l0.trace(),
-                          "ept:" + vm.name(), vm.vpid()),
+      : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), "ept:" + vm.name(), vm.vpid()),
         l0_(&l0),
         vm_(&vm),
         kpti_(kpti) {}

@@ -62,7 +62,6 @@ Task<void> EptOnEptMemoryBackend::access(Vcpu& vcpu, GuestProcess& proc, GuestKe
 
 Task<bool> EptOnEptMemoryBackend::handle_ept02_violation(Vcpu& vcpu, std::uint64_t gpa) {
   obs::SpanScope op(sim_->spans(), obs::Phase::kOpPageFault, gpa);
-  trace_->emit(sim_->now(), TraceActor::kHardware, TraceEventKind::kEpt02Violation, {}, gpa);
 
   // ➊-➌: hardware exit to L0, which sees an EPT violation it cannot satisfy
   // from EPT02 and reflects it into L1 as an EPT12 violation.
@@ -124,7 +123,7 @@ Task<bool> EptOnEptMemoryBackend::handle_ept02_violation(Vcpu& vcpu, std::uint64
       co_await sim_->delay(costs_->l0_ept_fill + costs_->tlb_shootdown);
     }
   }
-  co_await l0_->finish_entry(*l1_vm_);
+  co_await l0_->finish_entry();
   co_return true;
 }
 

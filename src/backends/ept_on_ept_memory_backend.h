@@ -21,8 +21,8 @@ class EptOnEptMemoryBackend : public MemoryBackendBase {
  public:
   EptOnEptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& l1_vm, std::uint16_t l2_vpid,
                         const std::string& container_name, bool kpti)
-      : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), l0.trace(),
-                          "ept-on-ept:" + container_name, l2_vpid),
+      : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), "ept-on-ept:" + container_name,
+                          l2_vpid),
         l0_(&l0),
         l1_vm_(&l1_vm),
         kpti_(kpti),

@@ -6,8 +6,7 @@
 namespace pvm {
 
 KvmSptMemoryBackend::KvmSptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& vm, bool kpti)
-    : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), l0.trace(), "kvm-spt:" + vm.name(),
-                        vm.vpid()),
+    : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), "kvm-spt:" + vm.name(), vm.vpid()),
       l0_(&l0),
       vm_(&vm),
       kpti_(kpti) {
@@ -16,7 +15,7 @@ KvmSptMemoryBackend::KvmSptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm&
   options.pcid_mapping = false;
   options.fine_grained_locks = false;
   options.dual_spt = kpti;
-  engine_ = std::make_unique<PvmMemoryEngine>(l0.sim(), l0.costs(), l0.counters(), l0.trace(),
+  engine_ = std::make_unique<PvmMemoryEngine>(l0.sim(), l0.costs(), l0.counters(),
                                               l0.host_frames(), "kvm-spt:" + vm.name(), options);
 }
 
@@ -78,7 +77,7 @@ Task<void> KvmSptMemoryBackend::access(Vcpu& vcpu, GuestProcess& proc, GuestKern
                            costs_->walk_load);
       const bool filled = co_await engine_->fill_spt(proc.pid(), page_base(gva), !user_mode,
                                                      gpt_walk.pte, /*is_prefault=*/false);
-      co_await l0_->finish_entry(*vm_);
+      co_await l0_->finish_entry();
       if (!filled) {
         co_await kernel.oom_kill_process(vcpu, proc);
         co_return;
@@ -101,7 +100,7 @@ Task<void> KvmSptMemoryBackend::trapped_store(Vcpu& vcpu, GuestProcess& proc, st
   co_await l0_->begin_exit(*vm_);
   co_await engine_->emulate_gpt_store(proc.pid(), gva, kind, vcpu.tlb, vpid_,
                                       costs_->l0_ept_emulate_write);
-  co_await l0_->finish_entry(*vm_);
+  co_await l0_->finish_entry();
 }
 
 Task<void> KvmSptMemoryBackend::gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,

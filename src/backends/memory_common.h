@@ -15,7 +15,6 @@
 #include "src/mmu/two_dim_walk.h"
 #include "src/obs/span.h"
 #include "src/sim/simulation.h"
-#include "src/trace/trace.h"
 
 namespace pvm {
 
@@ -38,11 +37,10 @@ class MemoryBackendBase : public MemoryBackend {
 
  protected:
   MemoryBackendBase(Simulation& sim, const CostModel& costs, CounterSet& counters,
-                    TraceLog& trace, std::string label, std::uint16_t vpid)
+                    std::string label, std::uint16_t vpid)
       : sim_(&sim),
         costs_(&costs),
         counters_(&counters),
-        trace_(&trace),
         label_(std::move(label)),
         vpid_(vpid) {}
 
@@ -139,7 +137,6 @@ class MemoryBackendBase : public MemoryBackend {
   Simulation* sim_;
   const CostModel* costs_;
   CounterSet* counters_;
-  TraceLog* trace_;
   std::string label_;
   std::uint16_t vpid_;
   DirtyTracker* dirty_ = nullptr;

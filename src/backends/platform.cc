@@ -60,7 +60,7 @@ Task<void> SecureContainer::boot(int init_pages, std::uint64_t image_bytes) {
 }
 
 VirtualPlatform::VirtualPlatform(const PlatformConfig& config)
-    : config_(config), l0_(sim_, costs_, counters_, trace_, config.host_frames) {
+    : config_(config), l0_(sim_, costs_, counters_, config.host_frames) {
   // Before any work is spawned, so the whole run uses one schedule.
   sim_.set_schedule_policy(config_.schedule_policy, config_.schedule_seed);
   // The flight recorder is always on: every instrumented site pays one null
@@ -85,7 +85,7 @@ VirtualPlatform::VirtualPlatform(const PlatformConfig& config)
     options.dual_spt = true;  // PVM always isolates guest user/kernel
     options.switcher_pf_classify = config_.switcher_pf_classify;
     options.collaborative_pt = config_.collaborative_pt;
-    pvm_ = std::make_unique<PvmHypervisor>(sim_, costs_, counters_, trace_, options);
+    pvm_ = std::make_unique<PvmHypervisor>(sim_, costs_, counters_, options);
   }
 }
 

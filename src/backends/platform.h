@@ -29,7 +29,6 @@
 #include "src/metrics/counters.h"
 #include "src/obs/flight.h"
 #include "src/sim/simulation.h"
-#include "src/trace/trace.h"
 
 namespace pvm {
 
@@ -118,7 +117,6 @@ class VirtualPlatform {
   const PlatformConfig& config() const { return config_; }
   Simulation& sim() { return sim_; }
   CounterSet& counters() { return counters_; }
-  TraceLog& trace() { return trace_; }
   const CostModel& costs() const { return costs_; }
   HostHypervisor& l0() { return l0_; }
   // The first (or only) L1 instance; null in bare-metal modes.
@@ -166,7 +164,6 @@ class VirtualPlatform {
   Resource host_cpus_{sim_, "host.cpus",
                       static_cast<std::uint32_t>(config_.host_cpus > 0 ? config_.host_cpus : 1)};
   CounterSet counters_;
-  TraceLog trace_;
   flight::FlightRecorder flight_;
   HostHypervisor l0_;
   std::vector<HostHypervisor::Vm*> l1_vms_;

@@ -9,7 +9,7 @@ PvmDirectMemoryBackend::PvmDirectMemoryBackend(PvmHypervisor& hypervisor, HostHy
                                                HostHypervisor::Vm* l1_vm, std::uint16_t vpid,
                                                const std::string& container_name)
     : MemoryBackendBase(hypervisor.sim(), hypervisor.costs(), hypervisor.counters(),
-                        hypervisor.trace(), "pvm-direct:" + container_name, vpid),
+                        "pvm-direct:" + container_name, vpid),
       hypervisor_(&hypervisor),
       l0_(l0),
       l1_vm_(l1_vm) {}

@@ -9,7 +9,7 @@ PvmMemoryBackend::PvmMemoryBackend(PvmHypervisor& hypervisor, PvmMemoryEngine& e
                                    HostHypervisor* l0, HostHypervisor::Vm* l1_vm,
                                    std::uint16_t vpid, const std::string& container_name)
     : MemoryBackendBase(hypervisor.sim(), hypervisor.costs(), hypervisor.counters(),
-                        hypervisor.trace(), "pvm:" + container_name, vpid),
+                        "pvm:" + container_name, vpid),
       hypervisor_(&hypervisor),
       engine_(&engine),
       l0_(l0),

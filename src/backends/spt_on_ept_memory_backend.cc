@@ -8,8 +8,8 @@ namespace pvm {
 SptOnEptMemoryBackend::SptOnEptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& l1_vm,
                                              std::uint16_t l2_vpid,
                                              const std::string& container_name, bool kpti)
-    : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), l0.trace(),
-                        "spt-on-ept:" + container_name, l2_vpid),
+    : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), "spt-on-ept:" + container_name,
+                        l2_vpid),
       l0_(&l0),
       l1_vm_(&l1_vm),
       kpti_(kpti) {
@@ -18,7 +18,7 @@ SptOnEptMemoryBackend::SptOnEptMemoryBackend(HostHypervisor& l0, HostHypervisor:
   options.pcid_mapping = false;
   options.fine_grained_locks = false;
   options.dual_spt = kpti;
-  engine_ = std::make_unique<PvmMemoryEngine>(l0.sim(), l0.costs(), l0.counters(), l0.trace(),
+  engine_ = std::make_unique<PvmMemoryEngine>(l0.sim(), l0.costs(), l0.counters(),
                                               l1_vm.gpa_frames(),
                                               "spt-on-ept:" + container_name, options);
 }

@@ -13,12 +13,11 @@
 namespace pvm {
 
 PvmMemoryEngine::PvmMemoryEngine(Simulation& sim, const CostModel& costs, CounterSet& counters,
-                                 TraceLog& trace, FrameAllocator& l1_frames, std::string name,
+                                 FrameAllocator& l1_frames, std::string name,
                                  const Options& options)
     : sim_(&sim),
       costs_(&costs),
       counters_(&counters),
-      trace_(&trace),
       l1_frames_(&l1_frames),
       name_(std::move(name)),
       options_(options),
@@ -405,8 +404,6 @@ Task<bool> PvmMemoryEngine::fill_spt(std::uint64_t pid, std::uint64_t gva, bool 
   if (flight::FlightRecorder* flight = sim_->flight()) {
     flight->record(flight::EventKind::kSptFill, gva, pid, is_prefault ? 1 : 0);
   }
-  trace_->emit(sim_->now(), TraceActor::kL1Hypervisor, TraceEventKind::kSptFill,
-               is_prefault ? "prefault" : "fill", gva);
   maybe_check_after_mutation();
   co_return true;
 }

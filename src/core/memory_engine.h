@@ -53,7 +53,6 @@
 #include "src/sim/arena.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
-#include "src/trace/trace.h"
 #include "src/wal/wal.h"
 
 namespace pvm {
@@ -87,7 +86,7 @@ class PvmMemoryEngine {
     bool dual_spt = true;  // separate user/kernel shadow tables (KPTI-like)
   };
 
-  PvmMemoryEngine(Simulation& sim, const CostModel& costs, CounterSet& counters, TraceLog& trace,
+  PvmMemoryEngine(Simulation& sim, const CostModel& costs, CounterSet& counters,
                   FrameAllocator& l1_frames, std::string name, const Options& options);
 
   const Options& options() const { return options_; }
@@ -429,7 +428,6 @@ class PvmMemoryEngine {
   Simulation* sim_;
   const CostModel* costs_;
   CounterSet* counters_;
-  TraceLog* trace_;
   FrameAllocator* l1_frames_;
   std::string name_;
   Options options_;

@@ -211,7 +211,7 @@ std::unique_ptr<PvmMemoryEngine> PvmHypervisor::create_memory_engine(
   options.pcid_mapping = options_.pcid_mapping;
   options.fine_grained_locks = options_.fine_grained_locks;
   options.dual_spt = options_.dual_spt;
-  return std::make_unique<PvmMemoryEngine>(*sim_, *costs_, *counters_, *trace_, l1_frames, name,
+  return std::make_unique<PvmMemoryEngine>(*sim_, *costs_, *counters_, l1_frames, name,
                                            options);
 }
 

@@ -24,7 +24,6 @@
 #include "src/metrics/counters.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
-#include "src/trace/trace.h"
 
 namespace pvm {
 
@@ -47,14 +46,13 @@ class PvmHypervisor {
     bool collaborative_pt = false;
   };
 
-  PvmHypervisor(Simulation& sim, const CostModel& costs, CounterSet& counters, TraceLog& trace,
+  PvmHypervisor(Simulation& sim, const CostModel& costs, CounterSet& counters,
                 const Options& options)
       : sim_(&sim),
         costs_(&costs),
         counters_(&counters),
-        trace_(&trace),
         options_(options),
-        switcher_(sim, costs, counters, trace),
+        switcher_(sim, costs, counters),
         emulator_(costs) {}
 
   const Options& options() const { return options_; }
@@ -62,7 +60,6 @@ class PvmHypervisor {
   Simulation& sim() { return *sim_; }
   const CostModel& costs() const { return *costs_; }
   CounterSet& counters() { return *counters_; }
-  TraceLog& trace() { return *trace_; }
 
   // True if `op` is served by a fast hypercall (the paravirtualized path);
   // false means trap-and-emulate through the instruction simulator.
@@ -112,7 +109,6 @@ class PvmHypervisor {
   Simulation* sim_;
   const CostModel* costs_;
   CounterSet* counters_;
-  TraceLog* trace_;
   Options options_;
   Switcher switcher_;
   InstructionEmulator emulator_;

@@ -1,43 +1,12 @@
 #include "src/core/switcher.h"
 
-#include <string_view>
-
-#include "src/obs/flight.h"
-#include "src/obs/span.h"
+#include "src/obs/step.h"
 
 namespace pvm {
 
-namespace {
-
-std::string_view reason_text(SwitchReason reason) {
-  switch (reason) {
-    case SwitchReason::kSyscall:
-      return "syscall";
-    case SwitchReason::kHypercall:
-      return "hypercall";
-    case SwitchReason::kException:
-      return "exception";
-    case SwitchReason::kInterrupt:
-      return "interrupt";
-    case SwitchReason::kPageFault:
-      return "#PF";
-    case SwitchReason::kGptWriteProtect:
-      return "GPT write-protect";
-  }
-  return "?";
-}
-
-}  // namespace
-
 Task<void> Switcher::to_hypervisor(SwitcherState& state, VcpuState& vcpu, SwitchReason reason) {
-  obs::SpanScope span(sim_->spans(), obs::Phase::kSwitcherExit);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kSwitcherExit, 0, 0,
-                   static_cast<std::uint8_t>(reason));
-  }
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kL1Exit);
-  trace_->emit(sim_->now(), TraceActor::kSwitcher, TraceEventKind::kVmExit, reason_text(reason));
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kSwitcherExit,
+                                  static_cast<std::uint8_t>(reason));
 
   // The CPU enters h_ring0 through MSR_LSTAR / the customized IDT; the
   // to_hypervisor path saves guest state into the per-CPU switcher state,
@@ -52,15 +21,8 @@ Task<void> Switcher::to_hypervisor(SwitcherState& state, VcpuState& vcpu, Switch
 }
 
 Task<void> Switcher::enter_guest(SwitcherState& state, VcpuState& vcpu, VirtRing target_ring) {
-  obs::SpanScope span(sim_->spans(), obs::Phase::kSwitcherEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kSwitcherEntry, 0, 0,
-                   target_ring == VirtRing::kVRing0 ? 0 : 3);
-  }
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  trace_->emit(sim_->now(), TraceActor::kSwitcher, TraceEventKind::kVmEntry,
-               target_ring == VirtRing::kVRing0 ? "v_ring0" : "v_ring3");
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kSwitcherEntry,
+                                  target_ring == VirtRing::kVRing0 ? 0 : 3);
 
   // enter_guest saves the host context and restores the guest's, arming
   // RFLAGS.IF in the iret frame so external interrupts stay deliverable
@@ -76,15 +38,8 @@ Task<void> Switcher::enter_guest(SwitcherState& state, VcpuState& vcpu, VirtRing
 }
 
 Task<void> Switcher::direct_switch_to_kernel(SwitcherState& state, VcpuState& vcpu) {
-  obs::SpanScope span(sim_->spans(), obs::Phase::kDirectSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kDirectSwitch, 0,
-                   costs_->ring_crossing + costs_->direct_switch_work, 0);
-  }
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kDirectSwitch);
-  trace_->emit(sim_->now(), TraceActor::kSwitcher, TraceEventKind::kDirectSwitch,
-               "guest kernel");
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kDirectSwitch, 0, 0,
+                                  costs_->ring_crossing + costs_->direct_switch_work);
 
   // Emulate the syscall instruction: swap hardware CR3 to the kernel shadow
   // table, flip cpl/stack/gs, construct the syscall frame — all without
@@ -95,15 +50,8 @@ Task<void> Switcher::direct_switch_to_kernel(SwitcherState& state, VcpuState& vc
 }
 
 Task<void> Switcher::direct_switch_to_user(SwitcherState& state, VcpuState& vcpu) {
-  obs::SpanScope span(sim_->spans(), obs::Phase::kDirectSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kDirectSwitch, 0,
-                   costs_->ring_crossing + costs_->direct_switch_work, 1);
-  }
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kDirectSwitch);
-  trace_->emit(sim_->now(), TraceActor::kSwitcher, TraceEventKind::kDirectSwitch,
-               "guest user (sysret)");
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kDirectSwitch, 1, 0,
+                                  costs_->ring_crossing + costs_->direct_switch_work);
 
   vcpu.virt_ring = VirtRing::kVRing3;
   co_await sim_->delay(costs_->ring_crossing + costs_->direct_switch_work);

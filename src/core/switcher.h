@@ -26,11 +26,11 @@
 #include "src/metrics/counters.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
-#include "src/trace/trace.h"
 
 namespace pvm {
 
-// What pulled control out of the guest (selects trace text / counters).
+// What pulled control out of the guest: the code of a switcher-exit flight
+// event (flight::switch_reason_label names it).
 enum class SwitchReason {
   kSyscall,
   kHypercall,
@@ -58,8 +58,8 @@ struct SwitcherState {
 
 class Switcher {
  public:
-  Switcher(Simulation& sim, const CostModel& costs, CounterSet& counters, TraceLog& trace)
-      : sim_(&sim), costs_(&costs), counters_(&counters), trace_(&trace) {}
+  Switcher(Simulation& sim, const CostModel& costs, CounterSet& counters)
+      : sim_(&sim), costs_(&costs), counters_(&counters) {}
 
   // World switch: L2 guest (user or kernel) -> L1 hypervisor. One PVM world
   // switch (~0.179 us): ring crossing, guest state save, register clearing,
@@ -82,7 +82,6 @@ class Switcher {
   Simulation* sim_;
   const CostModel* costs_;
   CounterSet* counters_;
-  TraceLog* trace_;
 };
 
 }  // namespace pvm

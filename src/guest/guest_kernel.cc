@@ -100,13 +100,16 @@ Task<void> GuestKernel::handle_page_fault(Vcpu& vcpu, GuestProcess& proc,
                            " (simulation bug: workload touched unmapped memory)");
   }
   counters_->add(Counter::kGuestPageFault);
+  // Read the VMA before suspending: an OOM kill from another vCPU during the
+  // handler delay tears the address space down and frees the node.
+  const bool writable = vma->writable;
   co_await sim_->delay(costs_->guest_pf_handler);
 
   if (fault.protection) {
     co_await break_cow(vcpu, proc, fault.gva);
     co_return;
   }
-  co_await populate_page(vcpu, proc, fault.gva, vma->writable);
+  co_await populate_page(vcpu, proc, fault.gva, writable);
 }
 
 Task<std::optional<std::uint64_t>> GuestKernel::alloc_user_frame(Vcpu& vcpu,

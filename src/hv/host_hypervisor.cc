@@ -5,15 +5,15 @@
 #include "src/fault/fault.h"
 #include "src/obs/flight.h"
 #include "src/obs/span.h"
+#include "src/obs/step.h"
 
 namespace pvm {
 
 HostHypervisor::HostHypervisor(Simulation& sim, const CostModel& costs, CounterSet& counters,
-                               TraceLog& trace, std::uint64_t host_frame_count)
+                               std::uint64_t host_frame_count)
     : sim_(&sim),
       costs_(&costs),
       counters_(&counters),
-      trace_(&trace),
       host_frames_("host.hpa", host_frame_count) {}
 
 HostHypervisor::Vm& HostHypervisor::create_vm(const std::string& name,
@@ -71,81 +71,42 @@ std::uint64_t HostHypervisor::injected_exit_spike(const Vm& vm) {
 }
 
 Task<void> HostHypervisor::exit_roundtrip(Vm& vm, ExitKind kind) {
-  counters_->add(Counter::kL0Exit);
-  counters_->add(Counter::kWorldSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxExit, 0, 0, static_cast<std::uint8_t>(kind));
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kVmExitFrom, vm.name());
   {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxExit);
+    obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
+                                    static_cast<std::uint8_t>(kind));
     co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
   }
   {
     obs::SpanScope span(sim_->spans(), obs::Phase::kL0Handler);
     co_await sim_->delay(handler_cost(kind));
   }
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxEntry);
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kVmEntryTo, vm.name());
-  {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxEntry);
-    co_await sim_->delay(costs_->vmx_entry);
-  }
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
+  co_await sim_->delay(costs_->vmx_entry);
 }
 
 Task<void> HostHypervisor::begin_exit(Vm& vm) {
-  counters_->add(Counter::kL0Exit);
-  counters_->add(Counter::kWorldSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    // Split exits serve shadow-fill / emulation paths; in real KVM SPT both
-    // enter through a #PF-class vectored event, so record them as exceptions.
-    flight->record(flight::EventKind::kVmxExit, 0, 0,
-                   static_cast<std::uint8_t>(ExitKind::kException));
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kVmExitFrom, vm.name());
-  obs::SpanScope span(sim_->spans(), obs::Phase::kVmxExit);
+  // Split exits serve shadow-fill / emulation paths; in real KVM SPT both
+  // enter through a #PF-class vectored event, so record them as exceptions.
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
+                                  static_cast<std::uint8_t>(ExitKind::kException));
   co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
 }
 
-Task<void> HostHypervisor::finish_entry(Vm& vm) {
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxEntry);
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kVmEntryTo, vm.name());
-  obs::SpanScope span(sim_->spans(), obs::Phase::kVmxEntry);
+Task<void> HostHypervisor::finish_entry() {
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
   co_await sim_->delay(costs_->vmx_entry);
 }
 
 Task<void> HostHypervisor::handle_ept_violation(Vm& vm, std::uint64_t gpa) {
-  counters_->add(Counter::kL0Exit);
-  counters_->add(Counter::kWorldSwitch);
   counters_->add(Counter::kEptViolation);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxExit, gpa, 0,
-                   static_cast<std::uint8_t>(ExitKind::kEptViolation));
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kEptViolation, vm.name(),
-               gpa);
   {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxExit);
+    obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
+                                    static_cast<std::uint8_t>(ExitKind::kEptViolation), gpa);
     co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
   }
   co_await fill_ept(vm, gpa);
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxEntry);
-  }
-  {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxEntry);
-    co_await sim_->delay(costs_->vmx_entry);
-  }
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
+  co_await sim_->delay(costs_->vmx_entry);
 }
 
 Task<void> HostHypervisor::fill_ept(Vm& vm, std::uint64_t gpa) {
@@ -177,22 +138,15 @@ Task<void> HostHypervisor::ensure_backed(Vm& vm, std::uint64_t gpa) {
 
 Task<void> HostHypervisor::inject_interrupt(Vm& vm) {
   counters_->add(Counter::kInterruptInjected);
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kInjectInterrupt,
-               vm.name());
   co_await exit_roundtrip(vm, ExitKind::kInterrupt);
 }
 
 Task<void> HostHypervisor::nested_forward_exit_to_l1(Vm& l1_vm, NestedVcpu& vcpu,
                                                      ExitKind kind) {
   // Hardware exits from L2 land in L0 (the only root-mode software).
-  counters_->add(Counter::kL0Exit);
-  counters_->add(Counter::kWorldSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxExit, 0, 0, static_cast<std::uint8_t>(kind));
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kNestedForward);
   {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxExit);
+    obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
+                                    static_cast<std::uint8_t>(kind));
     co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch +
                          injected_exit_spike(l1_vm));
   }
@@ -209,29 +163,15 @@ Task<void> HostHypervisor::nested_forward_exit_to_l1(Vm& l1_vm, NestedVcpu& vcpu
     co_await sim_->delay(costs_->nested_forward_work + 6 * costs_->vmcs_field_access);
   }
 
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxEntry);
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kResumeL1, l1_vm.name());
-  {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxEntry);
-    co_await sim_->delay(costs_->vmx_entry);
-  }
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
+  co_await sim_->delay(costs_->vmx_entry);
 }
 
 Task<void> HostHypervisor::nested_resume_l2(Vm& l1_vm, NestedVcpu& vcpu) {
   // L1's VMRESUME is privileged: it traps to L0.
-  counters_->add(Counter::kL0Exit);
-  counters_->add(Counter::kWorldSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxExit, 0, 0, flight::kExitCodeVmresumeTrap);
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kL1VmresumeTrap,
-               l1_vm.name());
   {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxExit);
+    obs::SpanScope span =
+        obs::step(*sim_, *counters_, flight::EventKind::kVmxExit, flight::kExitCodeVmresumeTrap);
     co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch +
                          injected_exit_spike(l1_vm));
   }
@@ -265,16 +205,8 @@ Task<void> HostHypervisor::nested_resume_l2(Vm& l1_vm, NestedVcpu& vcpu) {
     }
   }
 
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxEntry);
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kVmResumeL2);
-  {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxEntry);
-    co_await sim_->delay(costs_->vmx_entry);
-  }
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
+  co_await sim_->delay(costs_->vmx_entry);
 }
 
 Task<void> HostHypervisor::l1_vmcs12_access(Vm& l1_vm, NestedVcpu& vcpu, int count) {
@@ -290,15 +222,9 @@ Task<void> HostHypervisor::l1_vmcs12_access(Vm& l1_vm, NestedVcpu& vcpu, int cou
 }
 
 Task<void> HostHypervisor::emulate_protected_store(Vm& l1_vm) {
-  counters_->add(Counter::kL0Exit);
-  counters_->add(Counter::kWorldSwitch);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxExit, 0, 0, flight::kExitCodeEpt12Store);
-  }
-  trace_->emit(sim_->now(), TraceActor::kL0Hypervisor, TraceEventKind::kEmulateEpt12Store,
-               l1_vm.name());
   {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxExit);
+    obs::SpanScope span =
+        obs::step(*sim_, *counters_, flight::EventKind::kVmxExit, flight::kExitCodeEpt12Store);
     co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch +
                          injected_exit_spike(l1_vm));
   }
@@ -309,15 +235,8 @@ Task<void> HostHypervisor::emulate_protected_store(Vm& l1_vm) {
     ScopedResource lock = co_await l1_vm.mmu_lock().scoped();
     co_await sim_->delay(costs_->l0_ept_emulate_write);
   }
-  counters_->add(Counter::kWorldSwitch);
-  counters_->add(Counter::kVmEntry);
-  if (flight::FlightRecorder* flight = sim_->flight()) {
-    flight->record(flight::EventKind::kVmxEntry);
-  }
-  {
-    obs::SpanScope span(sim_->spans(), obs::Phase::kVmxEntry);
-    co_await sim_->delay(costs_->vmx_entry);
-  }
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
+  co_await sim_->delay(costs_->vmx_entry);
 }
 
 }  // namespace pvm

@@ -27,7 +27,6 @@
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
-#include "src/trace/trace.h"
 
 namespace pvm {
 
@@ -97,7 +96,7 @@ class HostHypervisor {
     DirtyTracker dirty_tracker_;
   };
 
-  HostHypervisor(Simulation& sim, const CostModel& costs, CounterSet& counters, TraceLog& trace,
+  HostHypervisor(Simulation& sim, const CostModel& costs, CounterSet& counters,
                  std::uint64_t host_frame_count);
 
   // Creates a VM with `gpa_frame_count` frames of guest-physical memory.
@@ -109,7 +108,6 @@ class HostHypervisor {
   Simulation& sim() { return *sim_; }
   const CostModel& costs() const { return *costs_; }
   CounterSet& counters() { return *counters_; }
-  TraceLog& trace() { return *trace_; }
 
   // ---- Single-level protocol steps ----
 
@@ -120,7 +118,7 @@ class HostHypervisor {
   // Split exit/entry, for handlers whose body runs caller-side code (e.g.
   // shadow-table fills under engine locks).
   Task<void> begin_exit(Vm& vm);
-  Task<void> finish_entry(Vm& vm);
+  Task<void> finish_entry();
 
   // EPT violation service: exit, allocate a host frame and install the
   // EPT01 leaf under the VM's mmu_lock, entry.
@@ -171,7 +169,6 @@ class HostHypervisor {
   Simulation* sim_;
   const CostModel* costs_;
   CounterSet* counters_;
-  TraceLog* trace_;
   FrameAllocator host_frames_;
   std::vector<std::unique_ptr<Vm>> vms_;
   std::uint16_t next_vpid_ = 1;

@@ -1,7 +1,7 @@
 // pvm-fleet — run a region-scale serverless fleet scenario and emit one
 // versioned pvm.fleet.v1 document.
 //
-//   pvm-fleet --scenario flashcrowd --launches 10000 --nodes 8 \
+//   pvm-fleet --scenario flashcrowd --launches 10000 --nodes 8
 //             --modes ept,pvm --jobs 8 --out fleet.json
 //
 // Nodes run on a worker pool (--jobs), each an isolated per-host

@@ -248,12 +248,12 @@ int main(int argc, char** argv) {
       profile_path = next_value(i);
     } else if (arg == "--slo") {
       const std::string value = next_value(i);
-      pvm::ts::SloSpec spec;
+      pvm::ts::SloSpec slo;
       std::string error;
-      if (!pvm::ts::parse_slo_spec(value, &spec, &error)) {
+      if (!pvm::ts::parse_slo_spec(value, &slo, &error)) {
         die("bad --slo spec '" + value + "': " + error);
       }
-      slo_specs.push_back(std::move(spec));
+      slo_specs.push_back(std::move(slo));
     } else if (arg == "--checkpoint") {
       checkpoint_path = next_value(i);
     } else if (arg == "--checkpoint-stop-after") {

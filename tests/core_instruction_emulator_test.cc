@@ -99,8 +99,7 @@ struct GpHarness {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  PvmHypervisor hypervisor{sim, costs, counters, trace, PvmHypervisor::Options{}};
+  PvmHypervisor hypervisor{sim, costs, counters, PvmHypervisor::Options{}};
   SwitcherState state;
   VcpuState vcpu;
 

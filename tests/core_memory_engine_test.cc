@@ -18,8 +18,7 @@ struct EngineHarness {
     options.pcid_mapping = pcid;
     options.fine_grained_locks = fine;
     options.dual_spt = dual;
-    engine = std::make_unique<PvmMemoryEngine>(sim, costs, counters, trace, frames, "eng",
-                                               options);
+    engine = std::make_unique<PvmMemoryEngine>(sim, costs, counters, frames, "eng", options);
   }
 
   void run(Task<void> task) {
@@ -31,7 +30,6 @@ struct EngineHarness {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
   FrameAllocator frames;
   Tlb tlb;
   std::unique_ptr<PvmMemoryEngine> engine;

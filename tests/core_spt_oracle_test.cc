@@ -17,8 +17,7 @@ namespace {
 struct OracleHarness {
   OracleHarness() : frames("l1", 1u << 20), guest_pt("gpt", nullptr) {
     PvmMemoryEngine::Options options;
-    engine = std::make_unique<PvmMemoryEngine>(sim, costs, counters, trace, frames, "eng",
-                                               options);
+    engine = std::make_unique<PvmMemoryEngine>(sim, costs, counters, frames, "eng", options);
   }
 
   void run(Task<void> task) {
@@ -42,7 +41,6 @@ struct OracleHarness {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
   FrameAllocator frames;
   Tlb tlb;
   PageTable guest_pt;

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/switcher.h"
+#include "src/obs/flight.h"
 
 namespace pvm {
 namespace {
@@ -13,8 +17,7 @@ struct SwitcherHarness {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  Switcher switcher{sim, costs, counters, trace};
+  Switcher switcher{sim, costs, counters};
   SwitcherState state;
   VcpuState vcpu;
 
@@ -97,15 +100,22 @@ TEST(SwitcherTest, DirectSwitchSkipsHypervisorCounters) {
 }
 
 TEST(SwitcherTest, TraceRecordsReasons) {
+  flight::FlightRecorder flight;
   SwitcherHarness h;
-  h.trace.set_enabled(true);
+  h.sim.set_flight(&flight);
   h.run([](SwitcherHarness& hh) -> Task<void> {
     co_await hh.switcher.to_hypervisor(hh.state, hh.vcpu, SwitchReason::kGptWriteProtect);
     co_await hh.switcher.enter_guest(hh.state, hh.vcpu, VirtRing::kVRing0);
     co_await hh.switcher.to_hypervisor(hh.state, hh.vcpu, SwitchReason::kInterrupt);
   }(h));
-  EXPECT_TRUE(h.trace.contains_sequence(
-      {"vm exit (GPT write-protect)", "vm entry (v_ring0)", "vm exit (interrupt)"}));
+  std::vector<std::string> steps;
+  for (const flight::Event& event : flight.merged()) {
+    steps.push_back(std::string(flight::event_kind_name(event.kind)) + " " +
+                    flight::event_detail(flight, event));
+  }
+  EXPECT_EQ(steps, (std::vector<std::string>{"switcher-exit reason=gpt-write-protect",
+                                             "switcher-entry ring=0",
+                                             "switcher-exit reason=interrupt"}));
 }
 
 TEST(SwitcherTest, VirtualIfDefaultsEnabled) {

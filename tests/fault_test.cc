@@ -122,8 +122,7 @@ struct MigrationFixture {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  HostHypervisor l0{sim, costs, counters, trace, 1u << 22};
+  HostHypervisor l0{sim, costs, counters, 1u << 22};
   HostHypervisor::Vm* vm = nullptr;
 
   explicit MigrationFixture(std::uint64_t resident_pages) {

@@ -222,5 +222,38 @@ TEST(GuestKernelTest, PidsAreUniqueAndLookupWorks) {
   EXPECT_EQ(h.kernel().process_by_pid(0xdead), nullptr);
 }
 
+TEST(GuestKernelTest, FaultSurvivesOomKillDuringHandler) {
+  // A second vCPU OOM-kills the process while handle_page_fault waits out
+  // the handler cost; the teardown frees the VMA the fault was taken on.
+  KernelHarness h;
+  Vcpu& killer = h.container->add_vcpu();
+  std::uint64_t base = 0;
+  h.run([](KernelHarness& hh, std::uint64_t* out) -> Task<void> {
+    *out = co_await hh.kernel().sys_mmap(hh.vcpu(), hh.init(), kPageSize);
+  }(h, &base));
+  const std::uint64_t frames_before = h.container->gpa_frames().allocated();
+  const std::size_t data_frames = h.init().data_frames().size();
+  ASSERT_GT(data_frames, 0u);
+
+  Simulation& sim = h.platform->sim();
+  sim.spawn([](KernelHarness& hh, std::uint64_t gva) -> Task<void> {
+    const PageFaultInfo fault{gva, AccessType::kWrite, /*user_mode=*/true, /*protection=*/false};
+    co_await hh.kernel().handle_page_fault(hh.vcpu(), hh.init(), fault);
+  }(h, base));
+  sim.spawn([](KernelHarness& hh, Vcpu& vcpu) -> Task<void> {
+    co_await hh.platform->sim().delay(1);
+    co_await hh.kernel().oom_kill_process(vcpu, hh.init());
+  }(h, killer));
+  sim.run();
+
+  EXPECT_TRUE(sim.all_tasks_done());
+  EXPECT_TRUE(h.init().oom_killed());
+  EXPECT_TRUE(h.init().vmas().empty());
+  EXPECT_TRUE(h.init().data_frames().empty());
+  // The kill returned every data frame, and the frame the fault allocated
+  // after the kill went straight back.
+  EXPECT_EQ(h.container->gpa_frames().allocated(), frames_before - data_frames);
+}
+
 }  // namespace
 }  // namespace pvm

@@ -69,8 +69,7 @@ struct MigrationFixture {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  HostHypervisor l0{sim, costs, counters, trace, 1u << 22};
+  HostHypervisor l0{sim, costs, counters, 1u << 22};
   HostHypervisor::Vm* vm = nullptr;
 
   explicit MigrationFixture(std::uint64_t resident_pages,
@@ -318,8 +317,7 @@ TEST(MigrationTest, IdleVmMigratesWithMinimalState) {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  HostHypervisor l0(sim, costs, counters, trace, 1u << 20);
+  HostHypervisor l0(sim, costs, counters, 1u << 20);
   HostHypervisor::Vm& vm = l0.create_vm("idle", 1024, false);
   MigrationEngine engine(l0);
   MigrationResult result;

@@ -14,8 +14,7 @@ struct HvHarness {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
-  HostHypervisor l0{sim, costs, counters, trace, 1u << 20};
+  HostHypervisor l0{sim, costs, counters, 1u << 20};
 
   void run(Task<void> task) {
     sim.spawn(std::move(task));

@@ -1,9 +1,12 @@
-// Trace-sequence tests: the rendered protocol steps of each scheme must
+// Protocol-sequence tests: the flight events of one fresh-page fault must
 // follow the paper's figures in order (Fig. 9 for PVM-on-EPT, Fig. 3(b) for
 // EPT-on-EPT, Fig. 3(a) for SPT-on-EPT), and the metrics report must expose
 // the derived per-fault statistics.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/backends/platform.h"
 #include "src/metrics/report.h"
@@ -27,77 +30,130 @@ struct TraceHarness {
     platform->sim().run();
   }
 
-  void traced_fresh_touch() {
-    platform->trace().set_enabled(true);
+  // Touches the page next to the warmed one with the flight rings emptied
+  // and unbounded, so they hold exactly that fault. Returns its counters.
+  CounterSet traced_fresh_touch() {
+    platform->flight().clear();
+    platform->flight().set_capacity(1 << 16);
+    const CounterSet before = platform->counters();
     platform->sim().spawn([](SecureContainer& c, GuestProcess& p) -> Task<void> {
       co_await c.kernel().touch(c.vcpu(0), p, GuestProcess::kHeapBase + kPageSize, true);
     }(*container, *container->init_process()));
     platform->sim().run();
+    return platform->counters().delta_since(before);
+  }
+
+  // One "kind detail" line per flight event ("vmx-exit reason=exception").
+  std::vector<std::string> steps() const {
+    const flight::FlightRecorder& flight = platform->flight();
+    std::vector<std::string> lines;
+    for (const flight::Event& event : flight.merged()) {
+      std::string line(flight::event_kind_name(event.kind));
+      const std::string detail = flight::event_detail(flight, event);
+      if (!detail.empty()) {
+        line += " " + detail;
+      }
+      lines.push_back(std::move(line));
+    }
+    return lines;
+  }
+
+  std::string timeline() const {
+    return flight::render_flight_timeline(platform->flight(), &platform->sim());
   }
 
   std::unique_ptr<VirtualPlatform> platform;
   SecureContainer* container;
 };
 
-TEST(TraceProtocolTest, PvmOnEptFollowsFigure9) {
-  TraceHarness h(DeployMode::kPvmNst);
-  h.traced_fresh_touch();
-  // Fig. 9 order: #PF exit -> entry to v_ring0 (inject) -> WP trap for the
-  // GPT store -> iret hypercall -> prefault -> entry to v_ring3.
-  EXPECT_TRUE(h.platform->trace().contains_sequence({
-      "vm exit (#PF)",
-      "vm entry (v_ring0)",
-      "vm exit (GPT write-protect)",
-      "vm entry (v_ring0)",
-      "vm exit (hypercall)",
-      "vm entry (v_ring3)",
-  })) << h.platform->trace().render();
-  // The prefault happened between the iret and the final entry.
-  bool saw_prefault = false;
-  for (const auto& record : h.platform->trace().records()) {
-    if (record.actor == TraceActor::kL1Hypervisor &&
-        record.text().rfind("prefault", 0) == 0) {
-      saw_prefault = true;
+bool contains_sequence(const std::vector<std::string>& lines,
+                       const std::vector<std::string>& needle) {
+  std::size_t matched = 0;
+  for (const std::string& line : lines) {
+    if (matched < needle.size() && line == needle[matched]) {
+      ++matched;
     }
   }
-  EXPECT_TRUE(saw_prefault);
-  // And absolutely no L0 actor appears.
-  EXPECT_TRUE(h.platform->trace().messages_for(TraceActor::kL0Hypervisor).empty());
+  return matched == needle.size();
+}
+
+TEST(TraceProtocolTest, PvmOnEptFollowsFigure9) {
+  TraceHarness h(DeployMode::kPvmNst);
+  const CounterSet delta = h.traced_fresh_touch();
+  // Fig. 9 order: #PF exit -> entry to v_ring0 (inject) -> WP trap for the
+  // GPT store -> iret hypercall -> prefault -> entry to v_ring3.
+  const std::vector<std::string> figure9 = {
+      "switcher-exit reason=page-fault",
+      "switcher-entry ring=0",
+      "switcher-exit reason=gpt-write-protect",
+      "switcher-entry ring=0",
+      "switcher-exit reason=hypercall",
+      "switcher-entry ring=3",
+  };
+  EXPECT_TRUE(contains_sequence(h.steps(), figure9)) << h.timeline();
+  // The prefault happened between the iret hypercall (the last exit) and
+  // the final entry, and L0 never took part.
+  std::uint64_t iret = 0;
+  std::uint64_t prefault = 0;
+  std::uint64_t final_entry = 0;
+  for (const flight::Event& event : h.platform->flight().merged()) {
+    if (event.kind == flight::EventKind::kSwitcherExit) {
+      iret = event.seq;
+    } else if (event.kind == flight::EventKind::kSwitcherEntry) {
+      final_entry = event.seq;
+    } else if (event.kind == flight::EventKind::kSptFill && event.code == 1) {
+      prefault = event.seq;
+    }
+    EXPECT_NE(event.kind, flight::EventKind::kVmxExit) << h.timeline();
+    EXPECT_NE(event.kind, flight::EventKind::kVmxEntry) << h.timeline();
+  }
+  EXPECT_LT(iret, prefault) << h.timeline();
+  EXPECT_LT(prefault, final_entry) << h.timeline();
+  EXPECT_EQ(delta.get(Counter::kL0Exit), 0u);
 }
 
 TEST(TraceProtocolTest, EptOnEptFollowsFigure3b) {
   TraceHarness h(DeployMode::kKvmEptNst);
-  h.traced_fresh_touch();
-  EXPECT_TRUE(h.platform->trace().contains_sequence({
-      "L2 exit -> L0 (forward to L1)",                    // ➊-➌
-      "emulate write-protected EPT12 store (l1-instance)",  // ➎-➐
-      "L1 vmresume trap (l1-instance)",                     // ➑-➒
-      "vm_resume L2 (real entry)",                          // ➓
-      "vm exit from l1-instance",                           // ⓫ second violation
-      "vm entry to l1-instance",                            // ⓭
-  })) << h.platform->trace().render();
+  const CounterSet delta = h.traced_fresh_touch();
+  const std::vector<std::string> figure3b = {
+      "vmx-exit reason=ept-violation",  // ➊-➌ L2 exit, forwarded to L1
+      "vmx-exit reason=ept12-store",    // ➎-➐
+      "vmx-exit reason=vmresume-trap",  // ➑-➒
+      "vmx-entry",                      // ➓ real entry into L2
+      "vmx-exit reason=exception",      // ⓫ second violation
+      "vmx-entry",                      // ⓭
+  };
+  EXPECT_TRUE(contains_sequence(h.steps(), figure3b)) << h.timeline();
+  EXPECT_EQ(delta.get(Counter::kL0Exit), 4u);
 }
 
 TEST(TraceProtocolTest, SptOnEptHasTwoPhases) {
   TraceHarness h(DeployMode::kSptOnEptNst);
-  h.traced_fresh_touch();
-  // Phase 1 (guest fault, via L0 twice) ... phase 2 ends with the SPT fill.
-  const auto l1_messages = h.platform->trace().messages_for(TraceActor::kL1Hypervisor);
-  ASSERT_FALSE(l1_messages.empty());
-  EXPECT_EQ(l1_messages.back().rfind("fill SPT12", 0), 0u);
-  // Exactly 6 L0 exits appear as forward/resume pairs (2n+4 with n=1).
+  const CounterSet delta = h.traced_fresh_touch();
+  // Phase 1 (guest fault, via L0 twice) ... phase 2 ends with the SPT fill:
+  // 6 L0 exits as forward/resume pairs (2n+4 with n=1).
   int forwards = 0;
   int resumes = 0;
-  for (const auto& message : h.platform->trace().messages_for(TraceActor::kL0Hypervisor)) {
-    if (message == "L2 exit -> L0 (forward to L1)") {
-      ++forwards;
+  int forwards_before_last_fill = -1;
+  std::uint8_t last_fill_code = 0;
+  for (const flight::Event& event : h.platform->flight().merged()) {
+    if (event.kind == flight::EventKind::kVmxExit) {
+      if (event.code == flight::kExitCodeVmresumeTrap) {
+        ++resumes;
+      } else {
+        ++forwards;
+      }
     }
-    if (message == "vm_resume L2 (real entry)") {
-      ++resumes;
+    if (event.kind == flight::EventKind::kSptFill) {
+      forwards_before_last_fill = forwards;
+      last_fill_code = event.code;
     }
   }
-  EXPECT_EQ(forwards, 3);
-  EXPECT_EQ(resumes, 3);
+  EXPECT_EQ(forwards, 3) << h.timeline();
+  EXPECT_EQ(resumes, 3) << h.timeline();
+  EXPECT_EQ(forwards_before_last_fill, 3) << h.timeline();
+  EXPECT_EQ(last_fill_code, 0) << h.timeline();  // a plain fill, not a prefault
+  EXPECT_EQ(delta.get(Counter::kL0Exit), 6u);
 }
 
 TEST(MetricsReportTest, RendersNonZeroCountersAndDerivedStats) {

@@ -10,12 +10,14 @@
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/backends/platform.h"
 #include "src/obs/flight.h"
 #include "src/obs/hist.h"
 #include "src/obs/span.h"
+#include "src/obs/step.h"
 #include "src/obs/ts.h"
 
 namespace pvm::ts {
@@ -530,14 +532,23 @@ TEST(TimeseriesPlatformTest, BootProducesDeterministicTelemetry) {
   EXPECT_EQ(render_timeseries_json(doc), render_timeseries_json(platform_run()));
 }
 
-TEST(TimeseriesPlatformTest, EveryTailBucketCarriesAResolvableExemplar) {
+// The innermost phase of a "op.page_fault;spt_fill;lock_wait" span path.
+std::string_view last_phase(const std::string& path) {
+  const std::size_t cut = path.rfind(';');
+  return cut == std::string::npos ? std::string_view(path)
+                                  : std::string_view(path).substr(cut + 1);
+}
+
+// Boots one container on `mode` with spans and a ts collector attached, runs
+// a few syscalls, and checks the exemplars of every histogram.
+void expect_resolvable_exemplars(DeployMode mode) {
   // Declared before the platform: coroutine frames destroyed with the
   // platform may still hold SpanScopes into the recorder.
   obs::SpanRecorder spans;
   spans.set_enabled(true);
   Collector collector;
   PlatformConfig config;
-  config.mode = DeployMode::kPvmNst;
+  config.mode = mode;
   VirtualPlatform platform(config);
   // Raise the ring capacity before any track records, so no flight event the
   // exemplars can point at is evicted by wraparound.
@@ -546,6 +557,13 @@ TEST(TimeseriesPlatformTest, EveryTailBucketCarriesAResolvableExemplar) {
   platform.sim().set_spans(&spans);
   SecureContainer& container = platform.create_container("c0");
   platform.sim().spawn(container.boot(8));
+  platform.sim().run();
+  // A few syscalls, so PVM also takes direct switches.
+  platform.sim().spawn([](SecureContainer& c) -> Task<void> {
+    for (int i = 0; i < 4; ++i) {
+      co_await c.kernel().sys_getpid(c.vcpu(0), *c.init_process());
+    }
+  }(container));
   platform.sim().run();
   const TsDoc doc = collector.drain();
 
@@ -577,6 +595,43 @@ TEST(TimeseriesPlatformTest, EveryTailBucketCarriesAResolvableExemplar) {
     EXPECT_EQ(tail->value, cumulative.max()) << name;
   }
   EXPECT_GT(checked, 0u);
+
+  // The order rule of obs/step.h, as the exemplars show it: switcher steps
+  // open their span before recording, VMX steps record first.
+  const std::vector<std::string> observed =
+      mode == DeployMode::kPvmNst
+          ? std::vector<std::string>{"switch_exit_ns", "direct_switch_ns"}
+          : std::vector<std::string>{"vmx_roundtrip_ns"};
+  for (const std::string& name : observed) {
+    ASSERT_TRUE(doc.hists.contains(name)) << name;
+  }
+  for (const auto& [name, hist] : doc.hists) {
+    for (const auto& [bucket, exemplar] : hist.exemplars) {
+      if (name == "switch_exit_ns") {
+        EXPECT_EQ(last_phase(exemplar.path), "switcher_entry") << exemplar.path;
+      } else if (name == "direct_switch_ns") {
+        EXPECT_EQ(last_phase(exemplar.path), "direct_switch") << exemplar.path;
+      } else if (name == "vmx_roundtrip_ns") {
+        EXPECT_NE(last_phase(exemplar.path), "vmx_entry") << exemplar.path;
+      }
+    }
+  }
+}
+
+TEST(TimeseriesPlatformTest, EveryTailBucketCarriesAResolvableExemplar) {
+  for (const DeployMode mode : {DeployMode::kPvmNst, DeployMode::kKvmEptNst}) {
+    SCOPED_TRACE(std::string(deploy_mode_name(mode)));
+    expect_resolvable_exemplars(mode);
+  }
+  // Exit records feed no exemplar, so their order shows nowhere in the
+  // output; the table keeps each exit row on its entry's order.
+  const auto row = [](flight::EventKind kind) {
+    return obs::kSteps[static_cast<std::size_t>(kind)];
+  };
+  EXPECT_EQ(row(flight::EventKind::kSwitcherExit).span_first,
+            row(flight::EventKind::kSwitcherEntry).span_first);
+  EXPECT_EQ(row(flight::EventKind::kVmxExit).span_first,
+            row(flight::EventKind::kVmxEntry).span_first);
 }
 
 }  // namespace

@@ -150,8 +150,7 @@ TEST(WalTest, WalcrashPresetParsesAndTargetsWalSites) {
 struct EngineHarness {
   EngineHarness() : frames("l1", 1u << 20) {
     PvmMemoryEngine::Options options;
-    engine = std::make_unique<PvmMemoryEngine>(sim, costs, counters, trace, frames, "eng",
-                                               options);
+    engine = std::make_unique<PvmMemoryEngine>(sim, costs, counters, frames, "eng", options);
   }
 
   void run(Task<void> task) {
@@ -163,7 +162,6 @@ struct EngineHarness {
   Simulation sim;
   CostModel costs;
   CounterSet counters;
-  TraceLog trace;
   FrameAllocator frames;
   std::unique_ptr<PvmMemoryEngine> engine;
 };
