@@ -15,35 +15,12 @@
 #include "bench/bench_common.h"
 #include "src/workloads/memstress.h"
 
-namespace pvm {
-namespace {
-
-double run_config(const char* name, const PlatformConfig& config, int processes,
-                  std::uint64_t bytes) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-  MemStressParams params;
-  params.total_bytes = bytes;
-  const ConcurrentResult result = run_processes_in_container(
-      platform, container, processes,
-      [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return memstress_process(container, vcpu, proc, params);
-      });
-  bench_io().record_run(std::string(name) + "/" + std::to_string(processes) + "p", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-}  // namespace
-}  // namespace pvm
-
 int main(int argc, char** argv) {
   using namespace pvm;
   BenchIo io(argc, argv, "ablation_extensions");
-  const auto bytes = static_cast<std::uint64_t>(bench_scale() * (32.0 * 1024 * 1024));
+  const bench::EntryHooks hooks = io.hooks();
+  MemStressParams params;
+  params.total_bytes = static_cast<std::uint64_t>(bench_scale() * (32.0 * 1024 * 1024));
   print_header("Ablation: §5 future-work extensions on the Fig. 10 workload (s)",
                "PVM paper §5 'Limitations of PVM' / future work",
                "kvm-ept (BM) shown as the hardware lower bound");
@@ -77,7 +54,9 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     std::vector<std::string> cells{row.name};
     for (int processes : {1, 4, 16, 32}) {
-      cells.push_back(TextTable::cell(run_config(row.name, row.config, processes, bytes), 3));
+      const std::string label = std::string(row.name) + "/" + std::to_string(processes) + "p";
+      cells.push_back(TextTable::cell(
+          bench::pagefault_mean_seconds(label, row.config, processes, params, hooks), 3));
     }
     table.add_row(std::move(cells));
   }

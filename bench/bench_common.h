@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,13 +38,12 @@ struct Scenario {
 };
 
 // The paper's five deployment scenarios (§4).
-inline std::vector<Scenario> five_scenarios(bool kpti = true) {
+inline std::vector<Scenario> five_scenarios() {
   std::vector<Scenario> scenarios;
   for (DeployMode mode : {DeployMode::kKvmEptBm, DeployMode::kKvmSptBm, DeployMode::kPvmBm,
                           DeployMode::kKvmEptNst, DeployMode::kPvmNst}) {
     PlatformConfig config;
     config.mode = mode;
-    config.kpti = kpti;
     scenarios.push_back({std::string(deploy_mode_name(mode)), config});
   }
   return scenarios;
@@ -83,9 +83,9 @@ inline void print_header(const char* experiment, const char* paper_ref, const ch
 //   --report         print the pvm-report text summary (top contended
 //                    resources, phase breakdown, op latencies) per run
 //   --faults <plan>  arm a deterministic fault plan ("<preset>[:seed=N]",
-//                    see fault::FaultPlan::parse) on every platform passed
-//                    to arm_faults(); "none" disables, including a bench's
-//                    own default plan
+//                    see fault::FaultPlan::parse) on every platform the
+//                    bench builds; "none" disables, including a bench's own
+//                    default plan. A plan that does not parse exits 2.
 //   --alloc-stats    add the `alloc` section (event-queue calendar shape,
 //                    slab live/high-water accounting, shadow-engine node
 //                    slabs) to each exported run; off by default so the
@@ -108,13 +108,16 @@ inline void print_header(const char* experiment, const char* paper_ref, const ch
 //                    fold-time p99, worst-instance anchors), one namespace
 //                    per run ("<label>/<op>"). Render with pvm-profile.
 //
-// With none of the flags given, observe()/record_run() are no-ops and no
-// span recorder is attached to any platform, so simulations run exactly as
-// before (the instrumented sites see a null recorder — one pointer check).
+// Measurement bodies reach a BenchIo only through hooks(). With none of the
+// export flags given, recording is a no-op and no span recorder is attached
+// to any platform, so simulations run exactly as before (the instrumented
+// sites see a null recorder — one pointer check).
 class BenchIo {
  public:
+  // Parses the flags above. Arguments it does not consume stay, after
+  // argv[0], in unparsed_args().
   BenchIo(int argc, char** argv, std::string bench_name)
-      : export_(std::move(bench_name)) {
+      : export_(std::move(bench_name)), unparsed_args_{argv[0]} {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--json" && i + 1 < argc) {
@@ -125,6 +128,12 @@ class BenchIo {
         report_ = true;
       } else if (arg == "--faults" && i + 1 < argc) {
         fault_plan_ = argv[++i];
+        try {
+          fault::FaultPlan::parse(fault_plan_);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "[bench] bad --faults plan '%s': %s\n", argv[i], e.what());
+          std::exit(2);
+        }
       } else if (arg == "--alloc-stats") {
         alloc_stats_ = true;
       } else if (arg == "--timeseries" && i + 1 < argc) {
@@ -144,32 +153,32 @@ class BenchIo {
         flight_capacity_ = std::strtoull(argv[++i], nullptr, 10);
       } else if (arg == "--profile" && i + 1 < argc) {
         profile_path_ = argv[++i];
+      } else {
+        unparsed_args_.push_back(argv[i]);
       }
     }
-    instance_slot() = this;
   }
 
   BenchIo(const BenchIo&) = delete;
   BenchIo& operator=(const BenchIo&) = delete;
 
-  ~BenchIo() {
-    finish();
-    if (instance_slot() == this) {
-      instance_slot() = nullptr;
-    }
-  }
+  ~BenchIo() { finish(); }
 
-  static BenchIo& instance() {
-    if (instance_slot() == nullptr) {
-      static BenchIo inactive(0, nullptr, "bench");
-      return inactive;
-    }
-    return *instance_slot();
-  }
-
-  bool active() const {
-    return !json_path_.empty() || !trace_path_.empty() || report_ ||
-           !timeseries_path_.empty() || !profile_path_.empty();
+  // The hooks every measurement body takes: on_sim and on_platform observe
+  // the new simulation (on_platform also arms the fault plan), and record
+  // captures one run. They point at this BenchIo, which must outlive them.
+  bench::EntryHooks hooks() {
+    bench::EntryHooks hooks;
+    hooks.on_sim = [this](Simulation& sim) { observe(sim); };
+    hooks.on_platform = [this](VirtualPlatform& platform) {
+      observe(platform);
+      arm_faults(platform);
+    };
+    hooks.record = [this](const std::string& label, Simulation& sim, CounterSet& counters,
+                          std::vector<std::pair<std::string, double>> values) {
+      record_run(label, sim, counters, std::move(values));
+    };
+    return hooks;
   }
 
   // A bench that models faults by default (fig12's boot storm) declares its
@@ -181,81 +190,7 @@ class BenchIo {
   }
   const std::string& fault_plan() const { return fault_plan_; }
 
-  // Arms the configured fault plan on a platform (no-op for ""/"none").
-  // The injector lives in the BenchIo so it outlives the platform's runs;
-  // each call gets a fresh injector so every run replays the same plan from
-  // the same seed regardless of run order.
-  fault::FaultInjector* arm_faults(VirtualPlatform& platform) {
-    if (fault_plan_.empty() || fault_plan_ == "none") {
-      return nullptr;
-    }
-    injectors_.push_back(std::make_unique<fault::FaultInjector>());
-    injectors_.back()->arm(fault::FaultPlan::parse(fault_plan_));
-    platform.arm_faults(injectors_.back().get());
-    return injectors_.back().get();
-  }
-
-  // Attach a fresh span recorder to a simulation. Call between constructing
-  // the simulation/platform and running work on it.
-  void observe(Simulation& sim) {
-    if (!active()) {
-      return;
-    }
-    recorders_.push_back(std::make_unique<obs::SpanRecorder>());
-    obs::SpanRecorder* recorder = recorders_.back().get();
-    recorder->set_enabled(true);
-    sim.set_spans(recorder);
-    by_sim_[&sim] = recorder;
-    if (!timeseries_path_.empty()) {
-      collectors_.push_back(std::make_unique<ts::Collector>());
-      ts::Collector* collector = collectors_.back().get();
-      if (ts_window_ns_ != 0) {
-        collector->set_window(ts_window_ns_);
-      }
-      sim.set_ts(collector);
-      collector_by_sim_[&sim] = collector;
-    }
-  }
-
-  void observe(VirtualPlatform& platform) {
-    // Ring capacity is orthogonal to the export flags: it reshapes the
-    // always-on recorder, so apply it before the active() early-out.
-    if (flight_capacity_ != 0) {
-      platform.flight().set_capacity(flight_capacity_);
-    }
-    observe(platform.sim());
-    if (active()) {
-      // Remembered so runs recorded through the sim-level hooks can still
-      // reach the platform's shadow-engine slabs for --alloc-stats.
-      platform_by_sim_[&platform.sim()] = &platform;
-    }
-  }
-
-  // Capture one completed run while its simulation is still alive. `values`
-  // are the bench's own headline numbers for this run.
-  void record_run(const std::string& label, Simulation& sim, CounterSet& counters,
-                  std::vector<std::pair<std::string, double>> values = {}) {
-    record_run_impl(label, sim, counters, std::move(values), nullptr);
-  }
-
-  void record_run(const std::string& label, VirtualPlatform& platform,
-                  std::vector<std::pair<std::string, double>> values = {}) {
-    if (alloc_stats_) {
-      // Engine slabs are only reachable through the platform; captured here
-      // so the sim-level impl can fold them into the alloc section.
-      const SlabStats engines = platform.engine_alloc_stats();
-      record_run_impl(label, platform.sim(), platform.counters(), std::move(values),
-                      &engines);
-      return;
-    }
-    record_run_impl(label, platform.sim(), platform.counters(), std::move(values), nullptr);
-  }
-
-  // A platform remembered by observe(), or null (sim-only benches).
-  VirtualPlatform* platform_for(const Simulation& sim) const {
-    const auto it = platform_by_sim_.find(&sim);
-    return it == platform_by_sim_.end() ? nullptr : it->second;
-  }
+  std::vector<char*> unparsed_args() const { return unparsed_args_; }
 
   // A values-only row (derived numbers with no backing platform).
   void record_values(const std::string& label,
@@ -299,9 +234,64 @@ class BenchIo {
   }
 
  private:
-  void record_run_impl(const std::string& label, Simulation& sim, CounterSet& counters,
-                       std::vector<std::pair<std::string, double>> values,
-                       const SlabStats* engines) {
+  bool active() const {
+    return !json_path_.empty() || !trace_path_.empty() || report_ ||
+           !timeseries_path_.empty() || !profile_path_.empty();
+  }
+
+  // Arms the configured fault plan on a platform (no-op for ""/"none").
+  // The injector lives in the BenchIo so it outlives the platform's runs;
+  // each call gets a fresh injector so every run replays the same plan from
+  // the same seed regardless of run order.
+  void arm_faults(VirtualPlatform& platform) {
+    if (fault_plan_.empty() || fault_plan_ == "none") {
+      return;
+    }
+    injectors_.push_back(std::make_unique<fault::FaultInjector>());
+    injectors_.back()->arm(fault::FaultPlan::parse(fault_plan_));
+    platform.arm_faults(injectors_.back().get());
+  }
+
+  // Attach a fresh span recorder to a simulation. Call between constructing
+  // the simulation/platform and running work on it.
+  void observe(Simulation& sim) {
+    if (!active()) {
+      return;
+    }
+    recorders_.push_back(std::make_unique<obs::SpanRecorder>());
+    obs::SpanRecorder* recorder = recorders_.back().get();
+    recorder->set_enabled(true);
+    sim.set_spans(recorder);
+    by_sim_[&sim] = recorder;
+    if (!timeseries_path_.empty()) {
+      collectors_.push_back(std::make_unique<ts::Collector>());
+      ts::Collector* collector = collectors_.back().get();
+      if (ts_window_ns_ != 0) {
+        collector->set_window(ts_window_ns_);
+      }
+      sim.set_ts(collector);
+      collector_by_sim_[&sim] = collector;
+    }
+  }
+
+  void observe(VirtualPlatform& platform) {
+    // Ring capacity is orthogonal to the export flags: it reshapes the
+    // always-on recorder, so apply it before the active() early-out.
+    if (flight_capacity_ != 0) {
+      platform.flight().set_capacity(flight_capacity_);
+    }
+    observe(platform.sim());
+    if (active()) {
+      // Remembered so record_run can reach the platform's shadow-engine
+      // slabs for --alloc-stats.
+      platform_by_sim_[&platform.sim()] = &platform;
+    }
+  }
+
+  // Capture one completed run while its simulation is still alive. `values`
+  // are the bench's own headline numbers for this run.
+  void record_run(const std::string& label, Simulation& sim, CounterSet& counters,
+                  std::vector<std::pair<std::string, double>> values) {
     if (!active()) {
       return;
     }
@@ -311,16 +301,16 @@ class BenchIo {
     }
     std::string alloc_json;
     if (alloc_stats_) {
-      SlabStats from_platform;
-      if (engines == nullptr) {
-        // Recorded through the sim-level hooks: recover the platform (and
-        // its engines) from the observe() registration, if there was one.
-        if (VirtualPlatform* platform = platform_for(sim)) {
-          from_platform = platform->engine_alloc_stats();
-          engines = &from_platform;
-        }
+      // Engine slabs are only reachable through the platform observe()
+      // registered; a raw simulation has none.
+      SlabStats engines;
+      const auto it = platform_by_sim_.find(&sim);
+      const bool has_platform = it != platform_by_sim_.end();
+      if (has_platform) {
+        engines = it->second->engine_alloc_stats();
       }
-      alloc_json = obs::render_alloc_json(sim.event_queue_stats(), engines);
+      alloc_json =
+          obs::render_alloc_json(sim.event_queue_stats(), has_platform ? &engines : nullptr);
     }
     export_.add_run(label, sim, counters, recorder, std::move(values),
                     std::move(alloc_json));
@@ -359,11 +349,6 @@ class BenchIo {
     }
   }
 
-  static BenchIo*& instance_slot() {
-    static BenchIo* slot = nullptr;
-    return slot;
-  }
-
   static void write_file(const std::string& path, const std::string& content) {
     std::FILE* file = std::fopen(path.c_str(), "wb");
     if (file == nullptr) {
@@ -375,6 +360,7 @@ class BenchIo {
   }
 
   obs::BenchExport export_;
+  std::vector<char*> unparsed_args_;
   std::string json_path_;
   std::string trace_path_;
   std::string fault_plan_;
@@ -401,25 +387,6 @@ class BenchIo {
   std::map<const Simulation*, ts::Collector*> collector_by_sim_;
   std::vector<std::unique_ptr<fault::FaultInjector>> injectors_;
 };
-
-inline BenchIo& bench_io() { return BenchIo::instance(); }
-
-// Adapts the binary-wide BenchIo singleton to the run-as-library entry-point
-// hooks (bench/entries.h): observe every simulation/platform, record every
-// run into the shared export. Binaries pass this so the extracted
-// measurement bodies keep their historical --json/--trace/--report behavior.
-inline bench::EntryHooks bench_io_hooks() {
-  bench::EntryHooks hooks;
-  hooks.on_sim = [](Simulation& sim) { bench_io().observe(sim); };
-  hooks.on_platform = [](VirtualPlatform& platform) {
-    bench_io().observe(platform);
-  };
-  hooks.record = [](const std::string& label, Simulation& sim, CounterSet& counters,
-                    std::vector<std::pair<std::string, double>> values) {
-    bench_io().record_run(label, sim, counters, std::move(values));
-  };
-  return hooks;
-}
 
 }  // namespace pvm
 

@@ -26,25 +26,11 @@ constexpr int kSwitchIterations = 10000;
 
 inline double to_us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
 
-void call_on_sim(const EntryHooks& hooks, Simulation& sim) {
-  if (hooks.on_sim) {
-    hooks.on_sim(sim);
-  }
-}
-
-void call_record(const EntryHooks& hooks, const std::string& label, Simulation& sim,
-                 CounterSet& counters,
-                 std::vector<std::pair<std::string, double>> values) {
-  if (hooks.record) {
-    hooks.record(label, sim, counters, std::move(values));
-  }
-}
-
 }  // namespace
 
 double switch_single_level_us(const EntryHooks& hooks) {
   Simulation sim;
-  call_on_sim(hooks, sim);
+  hooks.on_sim(sim);
   CostModel costs;
   CounterSet counters;
   HostHypervisor l0(sim, costs, counters, 1u << 20);
@@ -59,13 +45,13 @@ double switch_single_level_us(const EntryHooks& hooks) {
   sim.run();
   // A round trip is two world switches (exit + entry).
   const double us = to_us(sim.now() - start) / (2.0 * kSwitchIterations);
-  call_record(hooks, "single_level", sim, counters, {{"us_per_switch", us}});
+  hooks.record("single_level", sim, counters, {{"us_per_switch", us}});
   return us;
 }
 
 double switch_pvm_us(const EntryHooks& hooks) {
   Simulation sim;
-  call_on_sim(hooks, sim);
+  hooks.on_sim(sim);
   CostModel costs;
   CounterSet counters;
   Switcher switcher(sim, costs, counters);
@@ -81,13 +67,13 @@ double switch_pvm_us(const EntryHooks& hooks) {
   }(switcher));
   sim.run();
   const double us = to_us(sim.now() - start) / (2.0 * kSwitchIterations);
-  call_record(hooks, "pvm_switcher", sim, counters, {{"us_per_switch", us}});
+  hooks.record("pvm_switcher", sim, counters, {{"us_per_switch", us}});
   return us;
 }
 
 double switch_nested_us(const EntryHooks& hooks) {
   Simulation sim;
-  call_on_sim(hooks, sim);
+  hooks.on_sim(sim);
   CostModel costs;
   CounterSet counters;
   HostHypervisor l0(sim, costs, counters, 1u << 20);
@@ -104,16 +90,14 @@ double switch_nested_us(const EntryHooks& hooks) {
   }(l0, l1));
   sim.run();
   const double us = to_us(sim.now() - start) / (2.0 * kSwitchIterations);
-  call_record(hooks, "nested_l2_l1", sim, counters, {{"us_per_switch", us}});
+  hooks.record("nested_l2_l1", sim, counters, {{"us_per_switch", us}});
   return us;
 }
 
 double syscall_getpid_us(const std::string& label, const PlatformConfig& config,
                          const EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
+  hooks.on_platform(platform);
   SecureContainer& c = platform.create_container("c0");
   platform.sim().spawn(c.boot(8));
   platform.sim().run();
@@ -125,40 +109,51 @@ double syscall_getpid_us(const std::string& label, const PlatformConfig& config,
   }(c, &latency));
   platform.sim().run();
   const double us = to_us(latency);
-  call_record(hooks, label, platform.sim(), platform.counters(), {{"getpid_us", us}});
+  hooks.record(label, platform.sim(), platform.counters(), {{"getpid_us", us}});
   return us;
 }
 
+std::uint64_t lmbench_latency_ns(const std::string& label, const PlatformConfig& config,
+                                 LmbenchOp op, int iterations, int boot_pages,
+                                 const EntryHooks& hooks) {
+  VirtualPlatform platform(config);
+  hooks.on_platform(platform);
+  SecureContainer& c = platform.create_container("c0");
+  platform.sim().spawn(c.boot(boot_pages));
+  platform.sim().run();
+  std::uint64_t latency = 0;
+  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters,
+                          std::uint64_t* out) -> Task<void> {
+    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{});
+  }(c, op, iterations, &latency));
+  platform.sim().run();
+  hooks.record(label, platform.sim(), platform.counters(), {{"latency_us", to_us(latency)}});
+  return latency;
+}
+
 double pagefault_mean_seconds(const std::string& label, const PlatformConfig& config,
-                              int processes, std::uint64_t bytes_per_proc,
+                              int processes, const MemStressParams& params,
                               const EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
+  hooks.on_platform(platform);
   SecureContainer& container = platform.create_container("c0");
   platform.sim().spawn(container.boot(16));
   platform.sim().run();
 
-  MemStressParams params;
-  params.total_bytes = bytes_per_proc;
-  params.release_chunks = true;
   const ConcurrentResult result = run_processes_in_container(
       platform, container, processes,
       [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
         return memstress_process(container, vcpu, proc, params);
       });
-  call_record(hooks, label, platform.sim(), platform.counters(),
-              {{"mean_seconds", result.mean_seconds()}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"mean_seconds", result.mean_seconds()}});
   return result.mean_seconds();
 }
 
 BootStormStats boot_storm(const std::string& label, const PlatformConfig& config,
                           int containers, const EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
+  hooks.on_platform(platform);
   std::vector<SecureContainer*> all;
   for (int i = 0; i < containers; ++i) {
     all.push_back(&platform.create_container("c" + std::to_string(i)));
@@ -179,18 +174,16 @@ BootStormStats boot_storm(const std::string& label, const PlatformConfig& config
            1e6;
   };
   const BootStormStats stats{at(0.50), at(0.99), at(1.0)};
-  call_record(hooks, label, platform.sim(), platform.counters(),
-              {{"p50_ms", stats.p50_ms}, {"p99_ms", stats.p99_ms},
-               {"worst_ms", stats.worst_ms}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"p50_ms", stats.p50_ms}, {"p99_ms", stats.p99_ms},
+                {"worst_ms", stats.worst_ms}});
   return stats;
 }
 
 MigrationBenchStats migration_stats(const std::string& label, const PlatformConfig& config,
                                     DirtyProtocol protocol, const EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  if (hooks.on_platform) {
-    hooks.on_platform(platform);
-  }
+  hooks.on_platform(platform);
   SecureContainer& c = platform.create_container("c0");
   platform.sim().spawn(c.boot(16));
   platform.sim().run();
@@ -231,18 +224,18 @@ MigrationBenchStats migration_stats(const std::string& label, const PlatformConf
   stats.remote_faults = static_cast<double>(result.remote_faults);
   stats.downtime_us = static_cast<double>(result.downtime) / 1e3;
   stats.total_ms = static_cast<double>(result.total_time) / 1e6;
-  call_record(hooks, label, platform.sim(), platform.counters(),
-              {{"succeeded", stats.succeeded ? 1.0 : 0.0},
-               {"fell_back_postcopy", stats.fell_back_postcopy ? 1.0 : 0.0},
-               {"rounds", stats.rounds},
-               {"pages_copied", stats.pages_copied},
-               {"pages_dirtied", stats.pages_dirtied},
-               {"wp_faults", stats.wp_faults},
-               {"pml_appends", stats.pml_appends},
-               {"pml_flushes", stats.pml_flushes},
-               {"remote_faults", stats.remote_faults},
-               {"downtime_us", stats.downtime_us},
-               {"total_ms", stats.total_ms}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"succeeded", stats.succeeded ? 1.0 : 0.0},
+                {"fell_back_postcopy", stats.fell_back_postcopy ? 1.0 : 0.0},
+                {"rounds", stats.rounds},
+                {"pages_copied", stats.pages_copied},
+                {"pages_dirtied", stats.pages_dirtied},
+                {"wp_faults", stats.wp_faults},
+                {"pml_appends", stats.pml_appends},
+                {"pml_flushes", stats.pml_flushes},
+                {"remote_faults", stats.remote_faults},
+                {"downtime_us", stats.downtime_us},
+                {"total_ms", stats.total_ms}});
   return stats;
 }
 
@@ -327,8 +320,9 @@ CellOutcome run_workload_cell(const std::string& workload, const CellConfig& cel
     } else if (workload == "pagefault") {
       // Small fixed size: a matrix cell is a smoke-scale sample of the
       // fig10 workload, not a reproduction of its 32 MiB sweep.
-      pagefault_mean_seconds("pagefault", config, /*processes=*/2,
-                             /*bytes_per_proc=*/4ull << 20, hooks);
+      MemStressParams params;
+      params.total_bytes = 4ull << 20;
+      pagefault_mean_seconds("pagefault", config, /*processes=*/2, params, hooks);
     } else if (workload == "boot") {
       boot_storm("bootstorm", config, /*containers=*/8, hooks);
     } else if (workload == "migration") {

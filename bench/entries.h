@@ -1,13 +1,12 @@
 // Run-as-library bench entry points.
 //
-// The per-table binaries (table0_switch_cost, table2_syscall, ...) used to
-// inline their measurement loops around the BenchIo singleton, which made
-// them impossible to call from the pvm-matrix driver — and unsafe to call
-// from two sweep workers at once. The measurement bodies now live here,
-// parameterized by an explicit EntryHooks value instead of process-global
-// state: the binaries pass bench_io_hooks() and keep their exact historical
-// labels and numbers; pvm-matrix passes hooks that capture into a local,
-// per-cell BenchExport, so concurrent cells never share mutable state.
+// Every measurement body, here or in a table/figure binary, reaches its
+// observer only through an explicit EntryHooks value, never process-global
+// state. The binaries pass BenchIo::hooks() (bench/bench_common.h), which
+// feeds their --json/--trace/--report/--faults flags; pvm-matrix passes hooks
+// that capture into a local, per-cell BenchExport, so concurrent cells never
+// share mutable state. The bodies defined here are the ones more than one
+// caller runs.
 
 #ifndef PVM_BENCH_ENTRIES_H_
 #define PVM_BENCH_ENTRIES_H_
@@ -26,12 +25,13 @@ namespace pvm {
 class Simulation;
 class VirtualPlatform;
 class CounterSet;
+struct MemStressParams;
+enum class LmbenchOp;
 
 namespace bench {
 
-// Observation hooks threaded through an entry point. Every member may be
-// empty, in which case the entry runs bare — no recorder, no export —
-// exactly as the binaries always did without --json/--trace/--report.
+// Observation hooks threaded through an entry point. Both providers
+// (BenchIo::hooks() and run_workload_cell) set all three members.
 struct EntryHooks {
   // Called right after a raw Simulation (no platform) is constructed.
   std::function<void(Simulation&)> on_sim;
@@ -46,18 +46,27 @@ struct EntryHooks {
 
 // ---- Table 0: world-switch unit costs (us per switch) ----
 // Raw-simulation micro measurements; deployment mode does not apply.
-double switch_single_level_us(const EntryHooks& hooks = {});
-double switch_pvm_us(const EntryHooks& hooks = {});
-double switch_nested_us(const EntryHooks& hooks = {});
+double switch_single_level_us(const EntryHooks& hooks);
+double switch_pvm_us(const EntryHooks& hooks);
+double switch_nested_us(const EntryHooks& hooks);
 
 // ---- Table 2: get_pid syscall latency (us) ----
 double syscall_getpid_us(const std::string& label, const PlatformConfig& config,
-                         const EntryHooks& hooks = {});
+                         const EntryHooks& hooks);
 
-// ---- Fig. 10-style page-fault workload (mean seconds per process) ----
+// ---- Fig. 2 / Table 4: one LMbench op on a freshly booted container ----
+// Mean latency (ns) of `op` over `iterations` on the init process, after a
+// boot with `boot_pages` resident pages; records "latency_us".
+std::uint64_t lmbench_latency_ns(const std::string& label, const PlatformConfig& config,
+                                 LmbenchOp op, int iterations, int boot_pages,
+                                 const EntryHooks& hooks);
+
+// ---- Fig. 4 / Fig. 10 memstress (mean seconds per process) ----
+// `processes` concurrent memstress processes in one container; records
+// "mean_seconds".
 double pagefault_mean_seconds(const std::string& label, const PlatformConfig& config,
-                              int processes, std::uint64_t bytes_per_proc,
-                              const EntryHooks& hooks = {});
+                              int processes, const MemStressParams& params,
+                              const EntryHooks& hooks);
 
 // ---- Fig. 12b-style boot storm (startup latency percentiles, ms) ----
 struct BootStormStats {
@@ -66,7 +75,7 @@ struct BootStormStats {
   double worst_ms = 0;
 };
 BootStormStats boot_storm(const std::string& label, const PlatformConfig& config,
-                          int containers, const EntryHooks& hooks = {});
+                          int containers, const EntryHooks& hooks);
 
 // ---- §2.3 live-migration management metrics ----
 // Boots one container, then migrates its hosting VM *while* a memstress
@@ -87,7 +96,7 @@ struct MigrationBenchStats {
   double total_ms = 0;
 };
 MigrationBenchStats migration_stats(const std::string& label, const PlatformConfig& config,
-                                    DirtyProtocol protocol, const EntryHooks& hooks = {});
+                                    DirtyProtocol protocol, const EntryHooks& hooks);
 
 // ---- Matrix cells ----
 
@@ -125,7 +134,7 @@ struct CellOutcome {
 // The workload names run_workload_cell accepts, in canonical order.
 const std::vector<std::string>& matrix_workloads();
 
-// Runs `workload` ("switch" | "syscall" | "pagefault" | "boot") for one cell
+// Runs `workload` (one of matrix_workloads()) for one cell
 // in a private Simulation/platform with a private BenchExport, and returns
 // the cell's pvm.bench.v1 document. Thread-safe: no process-global state is
 // touched, so sweep workers can run cells concurrently. "switch" is a

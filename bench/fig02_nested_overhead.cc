@@ -12,30 +12,10 @@
 namespace pvm {
 namespace {
 
-std::uint64_t lmbench_latency(const std::string& label, DeployMode mode, LmbenchOp op,
-                              int iterations) {
-  PlatformConfig config;
-  config.mode = mode;
+double kbuild_mean_seconds(const std::string& label, const PlatformConfig& config,
+                           int containers, const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(256));
-  platform.sim().run();
-  std::uint64_t latency = 0;
-  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters,
-                          std::uint64_t* out) -> Task<void> {
-    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{});
-  }(c, op, iterations, &latency));
-  platform.sim().run();
-  bench_io().record_run(label, platform, {{"latency_us", to_us(latency)}});
-  return latency;
-}
-
-double kbuild_mean_seconds(const std::string& label, DeployMode mode, int containers) {
-  PlatformConfig config;
-  config.mode = mode;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   AppParams params;
   params.size = 0.5 * bench_scale();
   const ContainersResult result = run_containers(
@@ -43,15 +23,15 @@ double kbuild_mean_seconds(const std::string& label, DeployMode mode, int contai
       [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
         return app_kbuild(c, vcpu, proc, params);
       });
-  bench_io().record_run(label, platform, {{"mean_seconds", result.mean_seconds()}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"mean_seconds", result.mean_seconds()}});
   return result.mean_seconds();
 }
 
-double specjbb_mean_seconds(const std::string& label, DeployMode mode, int containers) {
-  PlatformConfig config;
-  config.mode = mode;
+double specjbb_mean_seconds(const std::string& label, const PlatformConfig& config,
+                            int containers, const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   AppParams params;
   params.size = 0.5 * bench_scale();
   const ContainersResult result = run_containers(
@@ -61,7 +41,8 @@ double specjbb_mean_seconds(const std::string& label, DeployMode mode, int conta
           (void)co_await app_specjbb(cc, v, p, ap);
         }(c, vcpu, proc, params);
       });
-  bench_io().record_run(label, platform, {{"mean_seconds", result.mean_seconds()}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"mean_seconds", result.mean_seconds()}});
   return result.mean_seconds();
 }
 
@@ -87,28 +68,33 @@ int main(int argc, char** argv) {
       {"sh", LmbenchOp::kShProc, 10},
   };
 
+  const bench::EntryHooks hooks = io.hooks();
+  PlatformConfig bm_config;
+  bm_config.mode = DeployMode::kKvmEptBm;
+  PlatformConfig nst_config;
+  nst_config.mode = DeployMode::kKvmEptNst;
   TextTable table({"benchmark", "kvm (BM)", "kvm (NST)", "normalized"});
   for (const auto& op : kOps) {
     const std::uint64_t bm =
-        lmbench_latency(std::string(op.name) + "/bm", DeployMode::kKvmEptBm, op.op,
-                        op.iterations);
+        bench::lmbench_latency_ns(std::string(op.name) + "/bm", bm_config, op.op,
+                                  op.iterations, /*boot_pages=*/256, hooks);
     const std::uint64_t nst =
-        lmbench_latency(std::string(op.name) + "/nst", DeployMode::kKvmEptNst, op.op,
-                        op.iterations);
+        bench::lmbench_latency_ns(std::string(op.name) + "/nst", nst_config, op.op,
+                                  op.iterations, /*boot_pages=*/256, hooks);
     table.add_row({op.name, TextTable::cell(to_us(bm)) + " us",
                    TextTable::cell(to_us(nst)) + " us",
                    TextTable::cell(static_cast<double>(nst) / static_cast<double>(bm))});
   }
 
   {
-    const double bm = kbuild_mean_seconds("kbuild/bm", DeployMode::kKvmEptBm, 16);
-    const double nst = kbuild_mean_seconds("kbuild/nst", DeployMode::kKvmEptNst, 16);
+    const double bm = kbuild_mean_seconds("kbuild/bm", bm_config, 16, hooks);
+    const double nst = kbuild_mean_seconds("kbuild/nst", nst_config, 16, hooks);
     table.add_row({"kbuild (16c)", TextTable::cell(bm) + " s", TextTable::cell(nst) + " s",
                    TextTable::cell(nst / bm)});
   }
   {
-    const double bm = specjbb_mean_seconds("specjbb/bm", DeployMode::kKvmEptBm, 16);
-    const double nst = specjbb_mean_seconds("specjbb/nst", DeployMode::kKvmEptNst, 16);
+    const double bm = specjbb_mean_seconds("specjbb/bm", bm_config, 16, hooks);
+    const double nst = specjbb_mean_seconds("specjbb/nst", nst_config, 16, hooks);
     table.add_row({"specjbb (16c)", TextTable::cell(bm) + " s", TextTable::cell(nst) + " s",
                    TextTable::cell(nst / bm)});
   }

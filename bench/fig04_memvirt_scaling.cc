@@ -9,39 +9,13 @@
 #include "bench/bench_common.h"
 #include "src/workloads/memstress.h"
 
-namespace pvm {
-namespace {
-
-double run_config(const char* name, DeployMode mode, int processes,
-                  std::uint64_t bytes_per_proc) {
-  PlatformConfig config;
-  config.mode = mode;
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-
-  MemStressParams params;
-  params.total_bytes = bytes_per_proc;
-  params.release_chunks = false;  // Fig. 4 variant: allocate and keep
-  const ConcurrentResult result = run_processes_in_container(
-      platform, container, processes,
-      [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return memstress_process(container, vcpu, proc, params);
-      });
-  bench_io().record_run(std::string(name) + "/" + std::to_string(processes) + "p", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-}  // namespace
-}  // namespace pvm
-
 int main(int argc, char** argv) {
   using namespace pvm;
   BenchIo io(argc, argv, "fig04_memvirt_scaling");
-  const auto bytes = static_cast<std::uint64_t>(bench_scale() * (48.0 * 1024 * 1024));
+  const bench::EntryHooks hooks = io.hooks();
+  MemStressParams params;
+  params.total_bytes = static_cast<std::uint64_t>(bench_scale() * (48.0 * 1024 * 1024));
+  params.release_chunks = false;  // Fig. 4 variant: allocate and keep
   print_header("Figure 4: EPT vs SPT, single-level vs nested (execution time, s)",
                "PVM paper, Fig. 4",
                "Working set scaled to 48 MiB/process (paper: 4 GiB); shape is the target");
@@ -60,7 +34,11 @@ int main(int argc, char** argv) {
   for (int processes : {1, 4, 16}) {
     std::vector<std::string> row{std::to_string(processes)};
     for (const auto& config : kConfigs) {
-      row.push_back(TextTable::cell(run_config(config.name, config.mode, processes, bytes), 3));
+      PlatformConfig platform_config;
+      platform_config.mode = config.mode;
+      const std::string label = std::string(config.name) + "/" + std::to_string(processes) + "p";
+      row.push_back(TextTable::cell(
+          bench::pagefault_mean_seconds(label, platform_config, processes, params, hooks), 3));
     }
     table.add_row(std::move(row));
   }

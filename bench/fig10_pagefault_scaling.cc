@@ -9,37 +9,12 @@
 #include "bench/bench_common.h"
 #include "src/workloads/memstress.h"
 
-namespace pvm {
-namespace {
-
-double run_config(const char* name, const PlatformConfig& config, int processes,
-                  std::uint64_t bytes_per_proc) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& container = platform.create_container("c0");
-  platform.sim().spawn(container.boot(16));
-  platform.sim().run();
-
-  MemStressParams params;
-  params.total_bytes = bytes_per_proc;
-  params.release_chunks = true;  // Fig. 10 variant: allocate and release
-  const ConcurrentResult result = run_processes_in_container(
-      platform, container, processes,
-      [&](int, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return memstress_process(container, vcpu, proc, params);
-      });
-  bench_io().record_run(std::string(name) + "/" + std::to_string(processes) + "p", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
-  return result.mean_seconds();
-}
-
-}  // namespace
-}  // namespace pvm
-
 int main(int argc, char** argv) {
   using namespace pvm;
   BenchIo io(argc, argv, "fig10_pagefault_scaling");
-  const auto bytes = static_cast<std::uint64_t>(bench_scale() * (32.0 * 1024 * 1024));
+  const bench::EntryHooks hooks = io.hooks();
+  MemStressParams params;  // Fig. 10 variant: allocate and release
+  params.total_bytes = static_cast<std::uint64_t>(bench_scale() * (32.0 * 1024 * 1024));
   print_header("Figure 10: guest page-fault handling (execution time, s)",
                "PVM paper, Fig. 10",
                "1 MiB allocate/touch/release loop; 32 MiB/process (paper: 4 GiB)");
@@ -90,7 +65,9 @@ int main(int argc, char** argv) {
   for (const auto& config : configs) {
     std::vector<std::string> row{config.name};
     for (int p : kProcs) {
-      row.push_back(TextTable::cell(run_config(config.name, config.config, p, bytes), 3));
+      const std::string label = std::string(config.name) + "/" + std::to_string(p) + "p";
+      row.push_back(TextTable::cell(
+          bench::pagefault_mean_seconds(label, config.config, p, params, hooks), 3));
     }
     table.add_row(std::move(row));
   }

@@ -12,8 +12,7 @@
 namespace pvm {
 namespace {
 
-AppParams scaled_params(VirtualPlatform& platform) {
-  (void)platform;
+AppParams scaled_params() {
   AppParams params;
   params.size = 0.5 * bench_scale();
   return params;
@@ -21,86 +20,91 @@ AppParams scaled_params(VirtualPlatform& platform) {
 
 constexpr int kTimerHz = 1000;  // per-container scheduler tick
 
-double kbuild_seconds(const PlatformConfig& config, int containers) {
+double kbuild_seconds(const PlatformConfig& config, int containers,
+                      const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   const ContainersResult result = run_containers(
       platform, containers,
       [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
-        return app_kbuild(c, vcpu, proc, scaled_params(platform));
+        return app_kbuild(c, vcpu, proc, scaled_params());
       },
       /*init_pages=*/96, kTimerHz);
-  bench_io().record_run("kbuild/" + std::to_string(containers) + "c", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
+  hooks.record("kbuild/" + std::to_string(containers) + "c", platform.sim(),
+               platform.counters(), {{"mean_seconds", result.mean_seconds()}});
   return result.mean_seconds();
 }
 
-double blogbench_score(const PlatformConfig& config, int containers) {
+double blogbench_score(const PlatformConfig& config, int containers,
+                       const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   std::vector<double> scores(containers, 0);
   run_containers(platform, containers,
                  [&](int index, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
                    return [](SecureContainer& cc, Vcpu& v, GuestProcess& p, AppParams params,
                              double* out) -> Task<void> {
                      *out = co_await app_blogbench(cc, v, p, params);
-                   }(c, vcpu, proc, scaled_params(platform), &scores[index]);
+                   }(c, vcpu, proc, scaled_params(), &scores[index]);
                  },
                  /*init_pages=*/96, kTimerHz);
   double sum = 0;
   for (const double s : scores) {
     sum += s;
   }
-  bench_io().record_run("blogbench/" + std::to_string(containers) + "c", platform,
-                        {{"score", sum / containers}});
+  hooks.record("blogbench/" + std::to_string(containers) + "c", platform.sim(),
+               platform.counters(), {{"score", sum / containers}});
   return sum / containers;
 }
 
-double specjbb_kbops(const PlatformConfig& config, int containers) {
+double specjbb_kbops(const PlatformConfig& config, int containers,
+                     const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   std::vector<double> throughput(containers, 0);
   run_containers(platform, containers,
                  [&](int index, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
                    return [](SecureContainer& cc, Vcpu& v, GuestProcess& p, AppParams params,
                              double* out) -> Task<void> {
                      *out = co_await app_specjbb(cc, v, p, params);
-                   }(c, vcpu, proc, scaled_params(platform), &throughput[index]);
+                   }(c, vcpu, proc, scaled_params(), &throughput[index]);
                  },
                  /*init_pages=*/96, kTimerHz);
   double sum = 0;
   for (const double t : throughput) {
     sum += t;
   }
-  bench_io().record_run("specjbb/" + std::to_string(containers) + "c", platform,
-                        {{"kbops", sum / containers}});
+  hooks.record("specjbb/" + std::to_string(containers) + "c", platform.sim(),
+               platform.counters(), {{"kbops", sum / containers}});
   return sum / containers;
 }
 
-double fluidanimate_seconds(const PlatformConfig& config, int containers) {
+double fluidanimate_seconds(const PlatformConfig& config, int containers,
+                            const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   const ContainersResult result = run_containers(
       platform, containers,
       [&](int, SecureContainer& c, Vcpu& vcpu, GuestProcess& proc) -> Task<void> {
         (void)vcpu;
         (void)proc;
-        return app_fluidanimate(c, scaled_params(platform), /*threads=*/4, /*frames=*/16);
+        return app_fluidanimate(c, scaled_params(), /*threads=*/4, /*frames=*/16);
       },
       /*init_pages=*/32, kTimerHz);
-  bench_io().record_run("fluidanimate/" + std::to_string(containers) + "c", platform,
-                        {{"mean_seconds", result.mean_seconds()}});
+  hooks.record("fluidanimate/" + std::to_string(containers) + "c", platform.sim(),
+               platform.counters(), {{"mean_seconds", result.mean_seconds()}});
   return result.mean_seconds();
 }
 
 template <typename Fn>
-void print_panel(const char* title, const char* unit, Fn&& metric) {
+void print_panel(const char* title, const char* unit, Fn&& metric,
+                 const bench::EntryHooks& hooks) {
   std::printf("--- %s (%s) ---\n", title, unit);
   TextTable table({"config", "1", "4", "16"});
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (int containers : {1, 4, 16}) {
-      row.push_back(TextTable::cell(metric(scenario.config, containers), 3));
+      row.push_back(TextTable::cell(metric(scenario.config, containers, hooks), 3));
     }
     table.add_row(std::move(row));
   }
@@ -117,10 +121,13 @@ int main(int argc, char** argv) {
                "PVM paper, Fig. 11 (a)-(d)",
                "Workload sizes scaled down; cross-config ratios are the target");
 
-  print_panel("(a) Kbuild, avg exec time, lower is better", "s", kbuild_seconds);
-  print_panel("(b) Blogbench, avg score, higher is better", "ops/s", blogbench_score);
-  print_panel("(c) SPECjbb2005, avg throughput, higher is better", "kbops", specjbb_kbops);
-  print_panel("(d) fluidanimate, avg exec time, lower is better", "s", fluidanimate_seconds);
+  const bench::EntryHooks hooks = io.hooks();
+  print_panel("(a) Kbuild, avg exec time, lower is better", "s", kbuild_seconds, hooks);
+  print_panel("(b) Blogbench, avg score, higher is better", "ops/s", blogbench_score, hooks);
+  print_panel("(c) SPECjbb2005, avg throughput, higher is better", "kbops", specjbb_kbops,
+              hooks);
+  print_panel("(d) fluidanimate, avg exec time, lower is better", "s", fluidanimate_seconds,
+              hooks);
 
   std::printf("Paper shape: kvm-ept (NST) collapses at 16 containers in every panel;\n");
   std::printf("pvm (NST) stays near bare-metal; pvm beats kvm-ept (BM) on\n");

@@ -34,10 +34,9 @@ struct HighLoadResult {
 };
 
 HighLoadResult run_config(const std::string& label, const PlatformConfig& config,
-                          int containers) {
+                          int containers, const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  bench_io().arm_faults(platform);
+  hooks.on_platform(platform);
   AppParams params;
   params.size = 0.25 * bench_scale();
 
@@ -68,12 +67,12 @@ HighLoadResult run_config(const std::string& label, const PlatformConfig& config
     const std::size_t idx = (times.size() * 99) / 100;
     out.p99_seconds = to_seconds(times[std::min(idx, times.size() - 1)]);
   }
-  bench_io().record_run(label, platform,
-                        {{"mean_seconds", out.mean_seconds},
-                         {"p99_seconds", out.p99_seconds},
-                         {"worst_boot_seconds", out.worst_boot_seconds},
-                         {"failed_boots", static_cast<double>(out.failed_boots)},
-                         {"crashed", out.crashed ? 1.0 : 0.0}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"mean_seconds", out.mean_seconds},
+                {"p99_seconds", out.p99_seconds},
+                {"worst_boot_seconds", out.worst_boot_seconds},
+                {"failed_boots", static_cast<double>(out.failed_boots)},
+                {"crashed", out.crashed ? 1.0 : 0.0}});
   return out;
 }
 
@@ -92,6 +91,7 @@ int main(int argc, char** argv) {
                 "' models the exhausted host (--faults none to disable)")
                    .c_str());
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"config", "50", "100", "150", "worst boot (s) @150"});
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     for (int containers : {50, 100, 150}) {
       const HighLoadResult result = run_config(
           scenario.label + "/" + std::to_string(containers) + "c", scenario.config,
-          containers);
+          containers, hooks);
       row.push_back(result.crashed
                         ? (result.failed_boots > 0
                                ? "CRASH(" + std::to_string(result.failed_boots) + " oom)"

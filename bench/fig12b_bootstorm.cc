@@ -2,52 +2,7 @@
 // and the RunD deployment story in §4.4): P50/P99 sandbox startup latency
 // when N containers cold-start simultaneously on one host.
 
-#include <algorithm>
-
 #include "bench/bench_common.h"
-
-namespace pvm {
-namespace {
-
-struct BootStats {
-  double p50_ms;
-  double p99_ms;
-  double worst_ms;
-};
-
-BootStats boot_storm(const std::string& label, const PlatformConfig& config,
-                     int containers) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  std::vector<SecureContainer*> all;
-  for (int i = 0; i < containers; ++i) {
-    all.push_back(&platform.create_container("c" + std::to_string(i)));
-  }
-  for (SecureContainer* container : all) {
-    platform.sim().spawn(container->boot(96));
-  }
-  platform.sim().run();
-
-  std::vector<SimTime> latencies;
-  for (SecureContainer* container : all) {
-    latencies.push_back(container->boot_latency());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const auto at = [&](double q) {
-    return static_cast<double>(latencies[static_cast<std::size_t>(
-               q * static_cast<double>(latencies.size() - 1))]) /
-           1e6;
-  };
-  const BootStats stats{at(0.50), at(0.99), at(1.0)};
-  bench_io().record_run(label, platform,
-                        {{"p50_ms", stats.p50_ms},
-                         {"p99_ms", stats.p99_ms},
-                         {"worst_ms", stats.worst_ms}});
-  return stats;
-}
-
-}  // namespace
-}  // namespace pvm
 
 int main(int argc, char** argv) {
   using namespace pvm;
@@ -56,12 +11,13 @@ int main(int argc, char** argv) {
                "mechanism behind Fig. 12's crash + §4.4 serverless adoption",
                "N containers created and booted at t=0 on one host");
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"config", "N=16 p50/p99", "N=64 p50/p99", "N=150 p50/p99 (worst)"});
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (int n : {16, 64, 150}) {
-      const BootStats stats =
-          boot_storm(scenario.label + "/N" + std::to_string(n), scenario.config, n);
+      const bench::BootStormStats stats =
+          bench::boot_storm(scenario.label + "/N" + std::to_string(n), scenario.config, n, hooks);
       std::string cell = TextTable::cell(stats.p50_ms) + "/" + TextTable::cell(stats.p99_ms);
       if (n == 150) {
         cell += " (" + TextTable::cell(stats.worst_ms) + ")";

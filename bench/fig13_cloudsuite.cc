@@ -11,9 +11,9 @@ namespace pvm {
 namespace {
 
 double run_seconds(const std::string& label, const PlatformConfig& config,
-                   CloudSuiteKind kind, int containers) {
+                   CloudSuiteKind kind, int containers, const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   AppParams params;
   params.size = 0.5 * bench_scale();
   const ContainersResult result = run_containers(
@@ -22,7 +22,8 @@ double run_seconds(const std::string& label, const PlatformConfig& config,
         return app_cloudsuite(c, vcpu, proc, kind, params);
       },
       /*init_pages=*/64);
-  bench_io().record_run(label, platform, {{"mean_seconds", result.mean_seconds()}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"mean_seconds", result.mean_seconds()}});
   return result.mean_seconds();
 }
 
@@ -46,20 +47,21 @@ int main(int argc, char** argv) {
   };
   constexpr int kContainers = 4;  // "relatively low concurrency level"
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table(
       {"config", "data analytics", "graph analytics", "in-memory analytics"});
   std::vector<double> baseline;
   for (const auto& kind : kKinds) {
     PlatformConfig config;
     config.mode = DeployMode::kKvmEptBm;
-    baseline.push_back(
-        run_seconds(std::string("baseline/") + kind.name, config, kind.kind, kContainers));
+    baseline.push_back(run_seconds(std::string("baseline/") + kind.name, config, kind.kind,
+                                   kContainers, hooks));
   }
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (std::size_t i = 0; i < std::size(kKinds); ++i) {
       const double seconds = run_seconds(scenario.label + "/" + kKinds[i].name,
-                                         scenario.config, kKinds[i].kind, kContainers);
+                                         scenario.config, kKinds[i].kind, kContainers, hooks);
       row.push_back(TextTable::cell(baseline[i] / seconds, 3));
     }
     table.add_row(std::move(row));

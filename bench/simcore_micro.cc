@@ -22,6 +22,10 @@
 namespace pvm {
 namespace {
 
+// google-benchmark registers free functions, so the platform benchmarks reach
+// main's BenchIo through this file-local copy of its hooks.
+bench::EntryHooks g_hooks;
+
 void BM_PageTableMap(benchmark::State& state) {
   PageTable table("bench", nullptr);
   std::uint64_t va = 0;
@@ -215,8 +219,7 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
     PlatformConfig config;
     config.mode = DeployMode::kPvmNst;
     VirtualPlatform platform(config);
-    bench_io().arm_faults(platform);
-    bench_io().observe(platform);
+    g_hooks.on_platform(platform);
     SecureContainer& c = platform.create_container("c0");
     platform.sim().spawn(c.boot(8));
     platform.sim().run();
@@ -232,7 +235,7 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
     }(c, proc));
     platform.sim().run();
 
-    if (!captured && bench_io().active()) {
+    if (!captured) {
       // One platform-backed capture per benchmark (outside the timed
       // region), so --report and the export's counter/contention sections
       // work here like in the table/figure binaries.
@@ -240,8 +243,8 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
       // Distinct label from the timing row google-benchmark reports: two
       // runs sharing one label would make label-keyed diffs (benchdiff)
       // ambiguous about which run carries which metrics.
-      bench_io().record_run("BM_FullFaultProtocolPvmNst_platform", platform,
-                            {{"pages_touched", 512.0}});
+      g_hooks.record("BM_FullFaultProtocolPvmNst_platform", platform.sim(),
+                     platform.counters(), {{"pages_touched", 512.0}});
       captured = true;
       state.ResumeTiming();
     }
@@ -260,7 +263,7 @@ void BM_FullFaultProtocolPvmNstObserved(benchmark::State& state) {
     PlatformConfig config;
     config.mode = DeployMode::kPvmNst;
     VirtualPlatform platform(config);
-    bench_io().arm_faults(platform);
+    g_hooks.on_platform(platform);
     obs::SpanRecorder recorder;
     recorder.set_enabled(true);
     platform.sim().set_spans(&recorder);
@@ -289,6 +292,8 @@ BENCHMARK(BM_FullFaultProtocolPvmNstObserved);
 // every table/figure binary (benchdiff and pvm-stat consume it uniformly).
 class ExportingReporter : public benchmark::ConsoleReporter {
  public:
+  explicit ExportingReporter(BenchIo& io) : io_(io) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
@@ -302,38 +307,30 @@ class ExportingReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         values.emplace_back(name, counter.value);
       }
-      bench_io().record_values(run.benchmark_name(), std::move(values));
+      io_.record_values(run.benchmark_name(), std::move(values));
     }
   }
+
+ private:
+  BenchIo& io_;
 };
 
 }  // namespace
 }  // namespace pvm
 
-// Custom main instead of BENCHMARK_MAIN(): the repo-wide BenchIo flags
-// (--json / --trace / --report / --faults) are parsed and stripped before
-// google-benchmark sees the command line, so simcore_micro takes the same
-// flags as every other bench binary.
+// Custom main instead of BENCHMARK_MAIN(): BenchIo consumes the repo-wide
+// bench flags first and google-benchmark sees only the rest, so
+// simcore_micro takes the same flags as every other bench binary.
 int main(int argc, char** argv) {
   pvm::BenchIo io(argc, argv, "simcore_micro");
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" || arg == "--trace" || arg == "--faults") {
-      ++i;  // skip the flag's value too
-      continue;
-    }
-    if (arg == "--report" || arg == "--alloc-stats") {
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  pvm::g_hooks = io.hooks();
+  std::vector<char*> args = io.unparsed_args();
   int adjusted_argc = static_cast<int>(args.size());
   benchmark::Initialize(&adjusted_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(adjusted_argc, args.data())) {
     return 1;
   }
-  pvm::ExportingReporter reporter;
+  pvm::ExportingReporter reporter(io);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   io.finish();
   benchmark::Shutdown();

@@ -5,8 +5,7 @@
 // of magnitude more expensive").
 //
 // The measurement bodies live in bench/entries.h so pvm-matrix can run them
-// as library calls; this binary keeps the table rendering and the
-// BenchIo-backed --json/--trace/--report plumbing.
+// as library calls; this binary renders the table.
 
 #include "bench/bench_common.h"
 
@@ -17,7 +16,7 @@ int main(int argc, char** argv) {
                "PVM paper, §2.2 & §3.3.2 text measurements",
                "Paper: single-level 0.105, PVM switcher 0.179, nested 1.3");
 
-  const bench::EntryHooks hooks = bench_io_hooks();
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"switch type", "measured (us)", "paper (us)"});
   table.add_row({"single-level (VMX exit/entry)",
                  TextTable::cell(bench::switch_single_level_us(hooks)), "0.105"});

@@ -10,9 +10,10 @@
 namespace pvm {
 namespace {
 
-DerivedStats run_config(const char* name, const PlatformConfig& config) {
+DerivedStats run_config(const char* name, const PlatformConfig& config,
+                        const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   SecureContainer& container = platform.create_container("c0");
   platform.sim().spawn(container.boot(16));
   platform.sim().run();
@@ -25,10 +26,10 @@ DerivedStats run_config(const char* name, const PlatformConfig& config) {
                                return memstress_process(container, vcpu, proc, params);
                              });
   const DerivedStats stats = derive_stats(platform.counters().delta_since(before));
-  bench_io().record_run(name, platform,
-                        {{"switches_per_fault", stats.switches_per_fault},
-                         {"l0_exits_per_fault", stats.l0_exits_per_fault},
-                         {"tlb_hit_rate", stats.tlb_hit_rate}});
+  hooks.record(name, platform.sim(), platform.counters(),
+               {{"switches_per_fault", stats.switches_per_fault},
+                {"l0_exits_per_fault", stats.l0_exits_per_fault},
+                {"tlb_hit_rate", stats.tlb_hit_rate}});
   return stats;
 }
 
@@ -64,10 +65,11 @@ int main(int argc, char** argv) {
     rows.push_back({"pvm-direct (NST)", c, "2n+4 switches, 0 L0 exits, no SPT"});
   }
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"config", "switches/fault", "L0 exits/fault", "TLB hit rate",
                    "prefault coverage", "paper formula (n=1)"});
   for (const Row& row : rows) {
-    const DerivedStats stats = run_config(row.name, row.config);
+    const DerivedStats stats = run_config(row.name, row.config, hooks);
     table.add_row({row.name, TextTable::cell(stats.switches_per_fault),
                    TextTable::cell(stats.l0_exits_per_fault, 3),
                    TextTable::cell(stats.tlb_hit_rate, 3),

@@ -16,12 +16,13 @@ namespace {
 
 constexpr int kIterations = 2000;
 
-double measure_op_us(const std::string& label, DeployMode mode, bool kpti, PrivOp op) {
+double measure_op_us(const std::string& label, DeployMode mode, bool kpti, PrivOp op,
+                     const bench::EntryHooks& hooks) {
   PlatformConfig config;
   config.mode = mode;
   config.kpti = kpti;
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   SecureContainer& c = platform.create_container("c0");
   platform.sim().spawn(c.boot(8));
   platform.sim().run();
@@ -38,7 +39,8 @@ double measure_op_us(const std::string& label, DeployMode mode, bool kpti, PrivO
   }(c, op));
   platform.sim().run();
   const double us = to_us(platform.sim().now() - start) / kIterations;
-  bench_io().record_run(label + (kpti ? "/kpti" : "/nokpti"), platform, {{"roundtrip_us", us}});
+  hooks.record(label + (kpti ? "/kpti" : "/nokpti"), platform.sim(), platform.counters(),
+               {{"roundtrip_us", us}});
   return us;
 }
 
@@ -70,13 +72,14 @@ int main(int argc, char** argv) {
       {"pvm (NST)", DeployMode::kPvmNst},
   };
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"Configuration", "kvm (BM)", "pvm (BM)", "kvm (NST)", "pvm (NST)"});
   for (const auto& op : kOps) {
     std::vector<std::string> row{op.name};
     for (const auto& config : kConfigs) {
       const std::string label = std::string(config.name) + "/" + op.name;
-      const double on = measure_op_us(label, config.mode, true, op.op);
-      const double off = measure_op_us(label, config.mode, false, op.op);
+      const double on = measure_op_us(label, config.mode, true, op.op, hooks);
+      const double off = measure_op_us(label, config.mode, false, op.op, hooks);
       row.push_back(TextTable::cell(on) + "/" + TextTable::cell(off));
     }
     table.add_row(std::move(row));

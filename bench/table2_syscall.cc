@@ -18,8 +18,8 @@
 namespace pvm {
 namespace {
 
-std::string cell_on_off(const std::string& name, PlatformConfig config) {
-  const bench::EntryHooks hooks = bench_io_hooks();
+std::string cell_on_off(const std::string& name, PlatformConfig config,
+                        const bench::EntryHooks& hooks) {
   config.kpti = true;
   const double on = bench::syscall_getpid_us(name + "/kpti", config, hooks);
   config.kpti = false;
@@ -37,28 +37,29 @@ int main(int argc, char** argv) {
                "PVM paper, Table 2",
                "Direct switching is the Fig. 8 optimization; 'none' disables it");
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"Configuration", "Optimization", "Syscall (us)"});
 
   PlatformConfig config;
   config.mode = DeployMode::kKvmEptBm;
-  table.add_row({"kvm-ept (BM)", "", cell_on_off("kvm-ept (BM)", config)});
+  table.add_row({"kvm-ept (BM)", "", cell_on_off("kvm-ept (BM)", config, hooks)});
   config.mode = DeployMode::kKvmSptBm;
-  table.add_row({"kvm-spt (BM)", "", cell_on_off("kvm-spt (BM)", config)});
+  table.add_row({"kvm-spt (BM)", "", cell_on_off("kvm-spt (BM)", config, hooks)});
 
   config.mode = DeployMode::kPvmBm;
   config.direct_switch = false;
-  table.add_row({"pvm (BM)", "none", cell_on_off("pvm (BM)/none", config)});
+  table.add_row({"pvm (BM)", "none", cell_on_off("pvm (BM)/none", config, hooks)});
   config.direct_switch = true;
-  table.add_row({"pvm (BM)", "direct-switch", cell_on_off("pvm (BM)/direct", config)});
+  table.add_row({"pvm (BM)", "direct-switch", cell_on_off("pvm (BM)/direct", config, hooks)});
 
   config.mode = DeployMode::kKvmEptNst;
-  table.add_row({"kvm (NST)", "", cell_on_off("kvm (NST)", config)});
+  table.add_row({"kvm (NST)", "", cell_on_off("kvm (NST)", config, hooks)});
 
   config.mode = DeployMode::kPvmNst;
   config.direct_switch = false;
-  table.add_row({"pvm (NST)", "none", cell_on_off("pvm (NST)/none", config)});
+  table.add_row({"pvm (NST)", "none", cell_on_off("pvm (NST)/none", config, hooks)});
   config.direct_switch = true;
-  table.add_row({"pvm (NST)", "direct-switch", cell_on_off("pvm (NST)/direct", config)});
+  table.add_row({"pvm (NST)", "direct-switch", cell_on_off("pvm (NST)/direct", config, hooks)});
 
   std::printf("%s\n", table.render().c_str());
   std::printf("Shape checks: kvm-spt is the slowest (trapped KPTI CR3 swaps);\n");

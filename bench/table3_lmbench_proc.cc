@@ -14,9 +14,9 @@ namespace {
 
 // Mean per-op latency with `processes` concurrent benchmark processes.
 double latency_us(const std::string& label, const PlatformConfig& config, LmbenchOp op,
-                  int processes, int iterations) {
+                  int processes, int iterations, const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   SecureContainer& container = platform.create_container("c0");
   platform.sim().spawn(container.boot(16));
   platform.sim().run();
@@ -38,7 +38,7 @@ double latency_us(const std::string& label, const PlatformConfig& config, Lmbenc
     sum += static_cast<double>(latency);
   }
   const double us = sum / static_cast<double>(processes) / 1e3;
-  bench_io().record_run(label, platform, {{"latency_us", us}});
+  hooks.record(label, platform.sim(), platform.counters(), {{"latency_us", us}});
   return us;
 }
 
@@ -69,6 +69,7 @@ int main(int argc, char** argv) {
       {"ctx switch", LmbenchOp::kCtxSwitch, 200, 30},
   };
 
+  const bench::EntryHooks hooks = io.hooks();
   for (int processes : {1, 32}) {
     std::printf("--- #C = %d ---\n", processes);
     std::vector<std::string> header{"config"};
@@ -82,8 +83,8 @@ int main(int argc, char** argv) {
         const int iters = processes == 1 ? op.iters1 : op.iters32;
         const std::string label = scenario.label + "/" + op.name + "/" +
                                   std::to_string(processes) + "p";
-        row.push_back(
-            TextTable::cell(latency_us(label, scenario.config, op.op, processes, iters)));
+        row.push_back(TextTable::cell(
+            latency_us(label, scenario.config, op.op, processes, iters, hooks)));
       }
       table.add_row(std::move(row));
     }

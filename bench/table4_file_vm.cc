@@ -7,30 +7,6 @@
 #include "bench/bench_common.h"
 #include "src/workloads/lmbench.h"
 
-namespace pvm {
-namespace {
-
-double latency_us(const std::string& label, const PlatformConfig& config, LmbenchOp op,
-                  int iterations) {
-  VirtualPlatform platform(config);
-  bench_io().observe(platform);
-  SecureContainer& c = platform.create_container("c0");
-  platform.sim().spawn(c.boot(64));
-  platform.sim().run();
-  std::uint64_t latency = 0;
-  platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters,
-                          std::uint64_t* out) -> Task<void> {
-    *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{});
-  }(c, op, iterations, &latency));
-  platform.sim().run();
-  const double us = to_us(latency);
-  bench_io().record_run(label, platform, {{"latency_us", us}});
-  return us;
-}
-
-}  // namespace
-}  // namespace pvm
-
 int main(int argc, char** argv) {
   using namespace pvm;
   BenchIo io(argc, argv, "table4_file_vm");
@@ -55,12 +31,14 @@ int main(int argc, char** argv) {
   for (const auto& op : kOps) {
     header.push_back(op.name);
   }
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table(std::move(header));
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (const auto& op : kOps) {
-      row.push_back(TextTable::cell(
-          latency_us(scenario.label + "/" + op.name, scenario.config, op.op, op.iterations)));
+      row.push_back(TextTable::cell(to_us(
+          bench::lmbench_latency_ns(scenario.label + "/" + op.name, scenario.config, op.op,
+                                    op.iterations, /*boot_pages=*/64, hooks))));
     }
     table.add_row(std::move(row));
   }

@@ -16,9 +16,9 @@ struct OpLatency {
 };
 
 OpLatency latency_us(const std::string& label, const PlatformConfig& config, LmbenchOp op,
-                     int iterations) {
+                     int iterations, const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   SecureContainer& c = platform.create_container("c0");
   platform.sim().spawn(c.boot(64));
   platform.sim().run();
@@ -31,8 +31,8 @@ OpLatency latency_us(const std::string& label, const PlatformConfig& config, Lmb
   }(c, op, iterations, &latency, &histogram));
   platform.sim().run();
   const OpLatency result{to_us(latency), to_us(histogram.quantile(0.99))};
-  bench_io().record_run(label, platform,
-                        {{"mean_us", result.mean_us}, {"p99_us", result.p99_us}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"mean_us", result.mean_us}, {"p99_us", result.p99_us}});
   return result;
 }
 
@@ -60,12 +60,13 @@ int main(int argc, char** argv) {
   for (const auto& op : kOps) {
     header.push_back(op.name);
   }
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table(std::move(header));
   for (const Scenario& scenario : five_scenarios()) {
     std::vector<std::string> row{scenario.label};
     for (const auto& op : kOps) {
       const OpLatency latency = latency_us(scenario.label + "/" + op.name, scenario.config,
-                                           op.op, op.iterations);
+                                           op.op, op.iterations, hooks);
       row.push_back(TextTable::cell(latency.mean_us) + " (p99<" +
                     TextTable::cell(latency.p99_us, 0) + ")");
     }

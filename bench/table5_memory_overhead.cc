@@ -6,9 +6,6 @@
 
 #include "bench/bench_common.h"
 #include "src/backends/ept_on_ept_memory_backend.h"
-#include "src/backends/kvm_spt_memory_backend.h"
-#include "src/backends/pvm_memory_backend.h"
-#include "src/backends/spt_on_ept_memory_backend.h"
 #include "src/workloads/memstress.h"
 
 namespace pvm {
@@ -19,9 +16,10 @@ struct Footprint {
   std::uint64_t shadow_tables = 0;  // SPT/gpa_map pages (hypervisor overhead)
 };
 
-Footprint run_config(const std::string& label, const PlatformConfig& config, int processes) {
+Footprint run_config(const std::string& label, const PlatformConfig& config, int processes,
+                     const bench::EntryHooks& hooks) {
   VirtualPlatform platform(config);
-  bench_io().observe(platform);
+  hooks.on_platform(platform);
   SecureContainer& container = platform.create_container("c0");
   platform.sim().spawn(container.boot(16));
   platform.sim().run();
@@ -37,20 +35,16 @@ Footprint run_config(const std::string& label, const PlatformConfig& config, int
   for (const auto& proc : container.kernel().processes()) {
     footprint.guest_tables += proc->gpt().node_count();
   }
-  if (auto* backend = dynamic_cast<PvmMemoryBackend*>(&container.mem())) {
-    footprint.shadow_tables = backend->engine().shadow_table_frames();
-  } else if (auto* spt = dynamic_cast<KvmSptMemoryBackend*>(&container.mem())) {
-    footprint.shadow_tables = spt->engine().shadow_table_frames();
-  } else if (auto* soe = dynamic_cast<SptOnEptMemoryBackend*>(&container.mem())) {
-    footprint.shadow_tables = soe->engine().shadow_table_frames();
+  if (PvmMemoryEngine* engine = container.shadow_engine()) {
+    footprint.shadow_tables = engine->shadow_table_frames();
   } else if (auto* eoe = dynamic_cast<EptOnEptMemoryBackend*>(&container.mem())) {
     // EPT-on-EPT's hypervisor-side tables: EPT12 at L1 and the compressed
     // EPT02 at L0.
     footprint.shadow_tables = eoe->ept12().node_count() + eoe->ept02().node_count();
   }
-  bench_io().record_run(label, platform,
-                        {{"guest_tables", static_cast<double>(footprint.guest_tables)},
-                         {"shadow_tables", static_cast<double>(footprint.shadow_tables)}});
+  hooks.record(label, platform.sim(), platform.counters(),
+               {{"guest_tables", static_cast<double>(footprint.guest_tables)},
+                {"shadow_tables", static_cast<double>(footprint.shadow_tables)}});
   return footprint;
 }
 
@@ -64,10 +58,11 @@ int main(int argc, char** argv) {
                "PVM paper §1 footprint remark + §5 dual-SPT cost",
                "After 8 processes x 16 MiB resident each");
 
+  const bench::EntryHooks hooks = io.hooks();
   TextTable table({"config", "guest tables", "shadow tables", "overhead vs EPT"});
   std::uint64_t ept_total = 0;
   for (const Scenario& scenario : five_scenarios()) {
-    const Footprint footprint = run_config(scenario.label, scenario.config, 8);
+    const Footprint footprint = run_config(scenario.label, scenario.config, 8, hooks);
     const std::uint64_t total = footprint.guest_tables + footprint.shadow_tables;
     if (scenario.config.mode == DeployMode::kKvmEptBm) {
       ept_total = total;

@@ -34,10 +34,10 @@ void usage(std::ostream& out) {
          "  --modes m1,m2,...      pvm | pvm-bm | pvm-direct | kvm-spt |\n"
          "                         spt-on-ept | ept | ept-bm | all\n"
          "                         (default: pvm,kvm-spt,ept)\n"
-         "  --workloads w1,w2,...  switch | syscall | pagefault | boot | all\n"
-         "                         (default: syscall)\n"
+         "  --workloads w1,w2,...  switch | syscall | pagefault | boot |\n"
+         "                         migration | all (default: syscall)\n"
          "  --faults f1,f2,...     fault plans (fault::FaultPlan::parse specs,\n"
-         "                         e.g. none,faultstorm:seed=7; default: none)\n"
+         "                         e.g. none,bootstorm:seed=7; default: none)\n"
          "  --policies p1,p2,...   fifo | random | lifo | all (default: fifo)\n"
          "  --seeds N              schedule seeds per combination (default: 1)\n"
          "  --first-seed N         first schedule seed (default: 1)\n"

@@ -8,7 +8,7 @@
 #
 # Invoked as a ctest entry:
 #
-#   cmake -DCASE=<table0|fig10|simcheck> -DBIN=<binary> -DJOBS=<n>
+#   cmake -DCASE=<table0|fig10|bench|simcheck> -DBIN=<binary> -DJOBS=<n>
 #         -DGOLDEN_DIR=<srcdir>/tests/golden -DWORK_DIR=<scratch>
 #         -P golden_check.cmake
 #
@@ -19,6 +19,10 @@
 #   table0    table0_switch_cost --json, vs table0_switch_cost.json
 #   fig10     PVM_BENCH_SCALE=0.01 fig10_pagefault_scaling --json, vs the
 #             tarball's fig10_pagefault_scaling_scale001.json
+#   bench     any other table/figure binary at PVM_BENCH_SCALE=0.01 with
+#             --json <name>.json, run from WORK_DIR: stdout vs
+#             bench/<name>.txt, and the export's SHA-256 vs its line in
+#             bench/json.sha256 (the exports run to ~50 MB each)
 #   simcheck  3-seed corrupting sweep (exit 1 expected) from a controlled
 #             cwd with a relative --postmortem-dir, at --jobs ${JOBS}:
 #             stdout vs simcheck_sweep.txt, postmortem json+txt vs tarball
@@ -27,6 +31,10 @@
 #   build/bench/table0_switch_cost --json tests/golden/table0_switch_cost.json
 #   cd <scratch> && PVM_BENCH_SCALE=0.01 build/bench/fig10_pagefault_scaling \
 #       --json fig10_pagefault_scaling_scale001.json
+#   cd <scratch> && PVM_BENCH_SCALE=0.01 build/bench/<name> --json <name>.json \
+#       > tests/golden/bench/<name>.txt
+#       and replace <name>'s line in tests/golden/bench/json.sha256 with
+#       the output of `sha256sum <name>.json`
 #   cd <scratch> && build/src/check/simcheck --modes pvm --policies fifo \
 #       --seeds 3 --debug-corrupt-from-seed 3 \
 #       --postmortem-dir golden-postmortems > simcheck_sweep.txt
@@ -98,6 +106,28 @@ elseif(CASE STREQUAL "fig10")
   compare_or_die("${WORK_DIR}/fig10.json"
                  "${WORK_DIR}/expected/fig10_pagefault_scaling_scale001.json"
                  "fig10 scale=0.01 pvm.bench.v1 export")
+
+elseif(CASE STREQUAL "bench")
+  get_filename_component(name "${BIN}" NAME_WE)
+  set(ENV{PVM_BENCH_SCALE} "0.01")
+  # Relative --json path: stdout echoes it, so it must not name WORK_DIR.
+  execute_process(COMMAND "${BIN}" --json "${name}.json"
+                  WORKING_DIRECTORY "${WORK_DIR}"
+                  OUTPUT_FILE "${WORK_DIR}/${name}.txt"
+                  RESULT_VARIABLE rc ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} failed (exit ${rc})")
+  endif()
+  compare_or_die("${WORK_DIR}/${name}.txt" "${GOLDEN_DIR}/bench/${name}.txt"
+                 "${name} scale=0.01 stdout")
+  file(SHA256 "${WORK_DIR}/${name}.json" actual)
+  file(STRINGS "${GOLDEN_DIR}/bench/json.sha256" line REGEX "  ${name}\\.json$")
+  string(SUBSTRING "${line}" 0 64 expected)
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR "golden mismatch (${name} scale=0.01 pvm.bench.v1 export): "
+                        "SHA-256 ${actual}, expected '${expected}'")
+  endif()
+  message(STATUS "byte-identical: ${name} scale=0.01 pvm.bench.v1 export")
 
 elseif(CASE STREQUAL "simcheck")
   if(NOT DEFINED JOBS)
