@@ -83,6 +83,29 @@ void BM_TlbLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookupHit);
 
+// Lookup plus refill over an 8,192-page footprint (32 regions of 256 pages,
+// 1 GiB apart) swept in order through the default 1,536 entries: perfbench's
+// arch.tlb_lookup_ns probe. Every access misses, so each iteration is two
+// failed index probes (the PCID tag, then its global alias), a round-robin
+// eviction and an insert.
+void BM_TlbMissRefill(benchmark::State& state) {
+  constexpr std::uint64_t kPagesPerRegion = 256;
+  constexpr std::uint64_t kPages = 32 * kPagesPerRegion;
+  Tlb tlb;
+  std::uint64_t page = 0;
+  for (auto _ : state) {
+    const std::uint64_t vpn =
+        ((page / kPagesPerRegion + 1) << (30 - kPageShift)) + page % kPagesPerRegion;
+    const Tlb::LookupResult result = tlb.lookup(1, 1, vpn);
+    benchmark::DoNotOptimize(result);
+    if (!result.hit) {
+      tlb.insert(1, 1, vpn, Pte::make(vpn, PteFlags::rw_user()));
+    }
+    page = (page + 1) % kPages;
+  }
+}
+BENCHMARK(BM_TlbMissRefill);
+
 // Raw event-queue cost, isolated from coroutine resumption: the simulator's
 // steady-state pattern (N live events; pop the minimum, advance the clock,
 // push a successor at now + delta). This is where the calendar-queue overhaul

@@ -32,6 +32,13 @@ constexpr std::uint64_t table_index(std::uint64_t address, int level) {
   return (address >> (kPageShift + 9 * (level - 1))) & kIndexMask;
 }
 
+// Sign-extends bit 47 into bits 48..63: the canonical form of a 48-bit
+// address assembled from table indices (kernel-half addresses start at
+// 0xffff800000000000).
+constexpr std::uint64_t canonical_address(std::uint64_t address) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(address << 16) >> 16);
+}
+
 template <typename Tag>
 struct Address {
   std::uint64_t raw = 0;

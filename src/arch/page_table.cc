@@ -9,7 +9,6 @@ PageTable::PageTable(std::string name, FrameAllocator* allocator)
   root_ = node_slab_.acquire();
   root_->level = kPageTableLevels;
   root_->frame = allocator_ ? allocator_->allocate_or_throw() : synthetic_next_frame_++;
-  owned_frames_.insert(root_->frame);
   node_count_ = 1;
 }
 
@@ -28,13 +27,11 @@ PageTable::PageTable(PageTable&& other) noexcept
       root_(other.root_),
       synthetic_next_frame_(other.synthetic_next_frame_),
       node_count_(other.node_count_),
-      leaf_count_(other.leaf_count_),
-      owned_frames_(std::move(other.owned_frames_)) {
+      leaf_count_(other.leaf_count_) {
   other.root_ = nullptr;
   other.allocator_ = nullptr;
   other.node_count_ = 0;
   other.leaf_count_ = 0;
-  other.owned_frames_.clear();
 }
 
 PageTable& PageTable::operator=(PageTable&& other) noexcept {
@@ -48,7 +45,6 @@ PageTable& PageTable::operator=(PageTable&& other) noexcept {
     std::swap(synthetic_next_frame_, other.synthetic_next_frame_);
     std::swap(node_count_, other.node_count_);
     std::swap(leaf_count_, other.leaf_count_);
-    std::swap(owned_frames_, other.owned_frames_);
   }
   return *this;
 }
@@ -83,20 +79,25 @@ PageTable::Node* PageTable::ensure_child(Node& parent, std::uint64_t index, MapR
     Node* child = node_slab_.acquire();
     child->level = parent.level - 1;
     child->frame = allocator_ ? allocator_->allocate_or_throw() : synthetic_next_frame_++;
-    owned_frames_.insert(child->frame);
     ++node_count_;
     ++result.nodes_allocated;
     // Installing the child's frame into the parent entry is a PTE store.
     parent.entries[index] = Pte::make(child->frame, PteFlags::rw_user());
     ++result.entries_written;
-    result.touched_table_frames.push_back(parent.frame);
     parent.children[index] = child;
   }
   return parent.children[index];
 }
 
-const PageTable::Node* PageTable::child_at(const Node& parent, std::uint64_t index) const {
-  return parent.children[index];
+PageTable::Node* PageTable::leaf_node(std::uint64_t va) const {
+  Node* node = root_;
+  for (int level = kPageTableLevels; level > 1; --level) {
+    node = node->children[table_index(va, level)];
+    if (node == nullptr) {
+      return nullptr;
+    }
+  }
+  return node;
 }
 
 MapResult PageTable::map(std::uint64_t va, std::uint64_t frame_number, const PteFlags& flags) {
@@ -114,7 +115,6 @@ MapResult PageTable::map(std::uint64_t va, std::uint64_t frame_number, const Pte
   }
   leaf = Pte::make(frame_number, flags);
   ++result.entries_written;
-  result.touched_table_frames.push_back(node->frame);
   return result;
 }
 
@@ -165,73 +165,13 @@ bool PageTable::unmap(std::uint64_t va) {
 }
 
 Pte* PageTable::find_pte(std::uint64_t va) {
-  Node* node = root_;
-  for (int level = kPageTableLevels; level > 1; --level) {
-    const std::uint64_t index = table_index(va, level);
-    if (!node->children[index]) {
-      return nullptr;
-    }
-    node = node->children[index];
-  }
-  return &node->entries[table_index(va, 1)];
+  Node* node = leaf_node(va);
+  return node != nullptr ? &node->entries[table_index(va, 1)] : nullptr;
 }
 
 const Pte* PageTable::find_pte(std::uint64_t va) const {
-  const Node* node = root_;
-  for (int level = kPageTableLevels; level > 1; --level) {
-    const std::uint64_t index = table_index(va, level);
-    if (!node->children[index]) {
-      return nullptr;
-    }
-    node = node->children[index];
-  }
-  return &node->entries[table_index(va, 1)];
-}
-
-bool PageTable::update_pte(std::uint64_t va, const std::function<void(Pte&)>& mutate,
-                           std::uint64_t* touched_table_frame) {
-  Node* node = root_;
-  for (int level = kPageTableLevels; level > 1; --level) {
-    const std::uint64_t index = table_index(va, level);
-    if (!node->children[index]) {
-      return false;
-    }
-    node = node->children[index];
-  }
-  Pte& leaf = node->entries[table_index(va, 1)];
-  const bool was_present = leaf.present();
-  mutate(leaf);
-  if (was_present && !leaf.present()) {
-    --leaf_count_;
-  } else if (!was_present && leaf.present()) {
-    ++leaf_count_;
-  }
-  if (touched_table_frame != nullptr) {
-    *touched_table_frame = node->frame;
-  }
-  return true;
-}
-
-void PageTable::for_each_leaf(
-    const std::function<void(std::uint64_t va, const Pte& pte)>& fn) const {
-  // Recursive descent, accumulating the virtual address prefix.
-  struct Walker {
-    const std::function<void(std::uint64_t, const Pte&)>& fn;
-
-    void visit(const Node& node, std::uint64_t prefix) const {
-      const int shift = kPageShift + 9 * (node.level - 1);
-      for (std::uint64_t i = 0; i < kEntriesPerNode; ++i) {
-        if (node.level == 1) {
-          if (node.entries[i].present()) {
-            fn(prefix | (i << shift), node.entries[i]);
-          }
-        } else if (node.children[i]) {
-          visit(*node.children[i], prefix | (i << shift));
-        }
-      }
-    }
-  };
-  Walker{fn}.visit(*root_, 0);
+  const Node* node = leaf_node(va);
+  return node != nullptr ? &node->entries[table_index(va, 1)] : nullptr;
 }
 
 void PageTable::clear() {
@@ -244,15 +184,25 @@ void PageTable::clear() {
     }
   }
   // Rebuild bookkeeping: only the root remains.
-  owned_frames_.clear();
-  owned_frames_.insert(root_->frame);
   root_->entries.fill(Pte());
   node_count_ = 1;
   leaf_count_ = 0;
 }
 
 bool PageTable::owns_table_frame(std::uint64_t frame) const {
-  return owned_frames_.count(frame) > 0;
+  return subtree_owns_frame(*root_, frame);
+}
+
+bool PageTable::subtree_owns_frame(const Node& node, std::uint64_t frame) {
+  if (node.frame == frame) {
+    return true;
+  }
+  for (const Node* child : node.children) {
+    if (child != nullptr && subtree_owns_frame(*child, frame)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace pvm

@@ -6,20 +6,17 @@
 // 64-bit values here; callers apply the strong types of addresses.h.
 //
 // Table pages consume frames from the owning space's FrameAllocator, so guest
-// page tables are write-protectable at frame granularity and `MapResult`
-// reports exactly which table frames each operation stored into — the unit at
-// which shadow-paging write-protect traps fire (paper §3.3.2: an n-level GPT
-// update costs n trap rounds).
+// page tables are write-protectable at frame granularity. `MapResult` counts
+// the PTE stores each mapping performed — the unit at which shadow-paging
+// write-protect traps fire (paper §3.3.2: an n-level GPT update costs n trap
+// rounds).
 
 #ifndef PVM_SRC_ARCH_PAGE_TABLE_H_
 #define PVM_SRC_ARCH_PAGE_TABLE_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_set>
-#include <vector>
 
 #include "src/arch/addresses.h"
 #include "src/arch/physical_memory.h"
@@ -34,9 +31,6 @@ struct MapResult {
   int nodes_allocated = 0;  // new table pages created for this mapping
   int entries_written = 0;  // PTE stores performed (1..kPageTableLevels)
   bool replaced = false;    // an existing present mapping was overwritten
-  // Frames of the table pages written to, leaf last. Shadow configurations
-  // use these to decide which stores hit write-protected frames.
-  std::vector<std::uint64_t> touched_table_frames;
 };
 
 struct WalkResult {
@@ -78,13 +72,19 @@ class PageTable {
   Pte* find_pte(std::uint64_t va);
   const Pte* find_pte(std::uint64_t va) const;
 
-  // Applies `mutate` to the leaf PTE if it exists; returns true on success.
-  // Reports the store into the leaf's table frame like map() does.
-  bool update_pte(std::uint64_t va, const std::function<void(Pte&)>& mutate,
+  // Applies `mutate(Pte&)` to the leaf PTE if its table chain exists;
+  // returns true on success. `touched_table_frame` (optional) receives the
+  // frame of the leaf's table page, the one the store wrote into.
+  template <typename Mutate>
+  bool update_pte(std::uint64_t va, Mutate&& mutate,
                   std::uint64_t* touched_table_frame = nullptr);
 
-  // Visits every present leaf as (va, pte).
-  void for_each_leaf(const std::function<void(std::uint64_t va, const Pte& pte)>& fn) const;
+  // Visits every present leaf as fn(va, pte), in ascending address order
+  // (user half first, then the sign-extended kernel half).
+  template <typename Fn>
+  void for_each_leaf(Fn&& fn) const {
+    visit_leaves(*root_, 0, fn);
+  }
 
   // Drops every mapping and every node except the root.
   void clear();
@@ -95,7 +95,7 @@ class PageTable {
   std::uint64_t present_leaf_count() const { return leaf_count_; }
 
   // True if `frame` backs one of this table's nodes (i.e. the frame holds
-  // page-table data). Used by shadow paging to classify write faults.
+  // page-table data). Walks the tree: a diagnostic, not a hot-path query.
   bool owns_table_frame(std::uint64_t frame) const;
 
   // Node-allocation accounting: table pages are slab-allocated per table
@@ -117,9 +117,24 @@ class PageTable {
   };
 
   Node* ensure_child(Node& parent, std::uint64_t index, MapResult& result);
-  const Node* child_at(const Node& parent, std::uint64_t index) const;
+  Node* leaf_node(std::uint64_t va) const;
   void release_node_frames(Node& node);
   void destroy_subtree(Node* node);
+  static bool subtree_owns_frame(const Node& node, std::uint64_t frame);
+
+  template <typename Fn>
+  static void visit_leaves(const Node& node, std::uint64_t prefix, Fn& fn) {
+    const std::uint64_t shift = kPageShift + 9 * static_cast<std::uint64_t>(node.level - 1);
+    for (std::uint64_t i = 0; i < kEntriesPerNode; ++i) {
+      if (node.level == 1) {
+        if (node.entries[i].present()) {
+          fn(canonical_address(prefix | (i << shift)), node.entries[i]);
+        }
+      } else if (node.children[i]) {
+        visit_leaves(*node.children[i], prefix | (i << shift), fn);
+      }
+    }
+  }
 
   std::string name_;
   FrameAllocator* allocator_;
@@ -130,8 +145,28 @@ class PageTable {
   std::uint64_t synthetic_next_frame_ = 1ull << 40;  // out-of-band ids w/o allocator
   std::uint64_t node_count_ = 0;
   std::uint64_t leaf_count_ = 0;
-  std::unordered_set<std::uint64_t> owned_frames_;
 };
+
+template <typename Mutate>
+bool PageTable::update_pte(std::uint64_t va, Mutate&& mutate,
+                           std::uint64_t* touched_table_frame) {
+  Node* node = leaf_node(va);
+  if (node == nullptr) {
+    return false;
+  }
+  Pte& leaf = node->entries[table_index(va, 1)];
+  const bool was_present = leaf.present();
+  mutate(leaf);
+  if (was_present && !leaf.present()) {
+    --leaf_count_;
+  } else if (!was_present && leaf.present()) {
+    ++leaf_count_;
+  }
+  if (touched_table_frame != nullptr) {
+    *touched_table_frame = node->frame;
+  }
+  return true;
+}
 
 }  // namespace pvm
 

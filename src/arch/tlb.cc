@@ -1,38 +1,58 @@
 #include "src/arch/tlb.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace pvm {
 
-Tlb::Tlb(std::size_t capacity) : slots_(capacity) {}
+Tlb::Tlb(std::size_t capacity) : slots_(capacity) {
+  if (capacity == 0 || capacity >= kNoSlot) {
+    throw std::invalid_argument("Tlb capacity " + std::to_string(capacity) +
+                                " outside [1, 65535)");
+  }
+  // Power-of-two index at least twice the capacity: load stays <= 50%.
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * capacity) {
+    ++bits;
+  }
+  index_.assign(std::size_t{1} << bits, kNoSlot);
+  index_mask_ = index_.size() - 1;
+  index_shift_ = 64 - bits;
+}
+
+std::size_t Tlb::find_cell(std::uint64_t k) const {
+  for (std::size_t cell = home(k);; cell = (cell + 1) & index_mask_) {
+    const std::uint16_t slot = index_[cell];
+    if (slot == kNoSlot) {
+      return kNotFound;
+    }
+    if (slots_[slot].key == k) {
+      return cell;
+    }
+  }
+}
 
 Tlb::LookupResult Tlb::lookup(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn) {
-  auto probe = [&](std::uint16_t tag) -> const Entry* {
-    auto it = index_.find(key(vpid, tag, vpn));
-    if (it == index_.end()) {
-      return nullptr;
-    }
-    return &slots_[it->second];
-  };
-
-  const Entry* entry = probe(pcid);
-  if (entry == nullptr && pcid != kGlobalPcid) {
-    entry = probe(kGlobalPcid);
+  std::size_t cell = find_cell(key(vpid, pcid, vpn));
+  if (cell == kNotFound && pcid != kGlobalPcid) {
+    cell = find_cell(key(vpid, kGlobalPcid, vpn));
   }
-  if (entry == nullptr) {
+  if (cell == kNotFound) {
     ++stats_.misses;
     return {};
   }
   ++stats_.hits;
-  return LookupResult{true, entry->frame, entry->writable, entry->user};
+  const Entry& entry = slots_[index_[cell]];
+  return LookupResult{true, entry.frame, entry.writable, entry.user};
 }
 
 void Tlb::insert(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn, const Pte& pte) {
   const std::uint16_t tag = pte.global() ? kGlobalPcid : pcid;
   const std::uint64_t k = key(vpid, tag, vpn);
 
-  auto existing = index_.find(k);
   std::size_t slot;
-  if (existing != index_.end()) {
-    slot = existing->second;
+  if (const std::size_t cell = find_cell(k); cell != kNotFound) {
+    slot = index_[cell];
   } else {
     // Round-robin victim selection: deterministic replacement.
     slot = next_victim_;
@@ -41,33 +61,55 @@ void Tlb::insert(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn, cons
       ++stats_.evictions;
       invalidate_slot(slot);
     }
-    index_[k] = slot;
+    // Probe after the eviction: its backward shift may have moved cells.
+    std::size_t free_cell = home(k);
+    while (index_[free_cell] != kNoSlot) {
+      free_cell = (free_cell + 1) & index_mask_;
+    }
+    index_[free_cell] = static_cast<std::uint16_t>(slot);
+    ++valid_;
   }
 
   Entry& entry = slots_[slot];
-  entry.valid = true;
+  entry.key = k;
+  entry.frame = pte.frame_number();
   entry.vpid = vpid;
   entry.pcid = tag;
-  entry.vpn = vpn;
-  entry.frame = pte.frame_number();
+  entry.valid = true;
   entry.writable = pte.writable();
   entry.user = pte.user();
 }
 
 void Tlb::invalidate_slot(std::size_t slot) {
   Entry& entry = slots_[slot];
-  if (entry.valid) {
-    index_.erase(key(entry.vpid, entry.pcid, entry.vpn));
-    entry.valid = false;
-    ++stats_.entries_dropped;
+  if (!entry.valid) {
+    return;
   }
+  std::size_t hole = find_cell(entry.key);
+  // Backward shift: pull each later cell of the probe run into the hole
+  // unless its home lies cyclically after the hole.
+  for (std::size_t cell = (hole + 1) & index_mask_; index_[cell] != kNoSlot;
+       cell = (cell + 1) & index_mask_) {
+    const std::size_t cell_home = home(slots_[index_[cell]].key);
+    if (((cell - cell_home) & index_mask_) >= ((cell - hole) & index_mask_)) {
+      index_[hole] = index_[cell];
+      hole = cell;
+    }
+  }
+  index_[hole] = kNoSlot;
+  entry.valid = false;
+  --valid_;
+  ++stats_.entries_dropped;
 }
 
 void Tlb::flush_all() {
   ++stats_.flush_all;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    invalidate_slot(i);
+  stats_.entries_dropped += valid_;
+  for (Entry& entry : slots_) {
+    entry.valid = false;
   }
+  index_.assign(index_.size(), kNoSlot);
+  valid_ = 0;
 }
 
 void Tlb::flush_vpid(std::uint16_t vpid) {
@@ -91,9 +133,8 @@ void Tlb::flush_pcid(std::uint16_t vpid, std::uint16_t pcid) {
 
 void Tlb::flush_page(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn) {
   auto drop = [&](std::uint16_t tag) {
-    auto it = index_.find(key(vpid, tag, vpn));
-    if (it != index_.end()) {
-      invalidate_slot(it->second);
+    if (const std::size_t cell = find_cell(key(vpid, tag, vpn)); cell != kNotFound) {
+      invalidate_slot(index_[cell]);
     }
   };
   drop(pcid);

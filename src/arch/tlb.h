@@ -7,13 +7,17 @@
 // works precisely because flush_pcid() is cheaper than flush_vpid(): mapped
 // guest PCIDs let the hypervisor avoid the full-VPID flush on world switches.
 //
-// Replacement is round-robin over a fixed slot array: deterministic and cheap.
+// The TLB is fully associative: replacement is round-robin over a fixed slot
+// array (deterministic and cheap), and an open-addressing table of slot
+// numbers finds a tag in O(1). The table stores only 16-bit slot numbers —
+// each probe recomputes its key from the slot it names — so it adds 2 bytes
+// per index cell (8 KiB at the default 1,536 entries) and never allocates
+// after construction.
 
 #ifndef PVM_SRC_ARCH_TLB_H_
 #define PVM_SRC_ARCH_TLB_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/arch/pte.h"
@@ -34,6 +38,8 @@ class Tlb {
  public:
   static constexpr std::uint16_t kGlobalPcid = 0xfff;
 
+  // `capacity` must be in [1, 65535): slot numbers are 16-bit, and 0xffff
+  // marks an empty index cell. Throws std::invalid_argument otherwise.
   explicit Tlb(std::size_t capacity = 1536);
 
   struct LookupResult {
@@ -62,16 +68,19 @@ class Tlb {
   void flush_page(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn);
 
   const TlbStats& stats() const { return stats_; }
-  std::size_t valid_entries() const { return index_.size(); }
+  std::size_t valid_entries() const { return valid_; }
   std::size_t capacity() const { return slots_.size(); }
 
  private:
+  static constexpr std::uint16_t kNoSlot = 0xffff;
+  static constexpr std::size_t kNotFound = ~std::size_t{0};
+
   struct Entry {
-    bool valid = false;
+    std::uint64_t key = 0;  // key(vpid, pcid, vpn) of the cached translation
+    std::uint64_t frame = 0;
     std::uint16_t vpid = 0;
     std::uint16_t pcid = 0;
-    std::uint64_t vpn = 0;
-    std::uint64_t frame = 0;
+    bool valid = false;
     bool writable = false;
     bool user = false;
   };
@@ -81,10 +90,23 @@ class Tlb {
            (vpn & 0xfffffffffull);
   }
 
+  // Home cell of `k` in the index (multiplicative hash, top bits).
+  std::size_t home(std::uint64_t k) const {
+    return static_cast<std::size_t>((k * 0x9e3779b97f4a7c15ull) >> index_shift_);
+  }
+
+  // Index cell naming the slot that holds `k`, or kNotFound.
+  std::size_t find_cell(std::uint64_t k) const;
+
+  // Removes a valid slot's key from the index (backward-shift deletion, so
+  // the table never holds tombstones) and marks the slot invalid.
   void invalidate_slot(std::size_t slot);
 
   std::vector<Entry> slots_;
-  std::unordered_map<std::uint64_t, std::size_t> index_;
+  std::vector<std::uint16_t> index_;  // slot numbers; kNoSlot = empty cell
+  std::size_t index_mask_ = 0;
+  int index_shift_ = 0;
+  std::size_t valid_ = 0;
   std::size_t next_victim_ = 0;
   TlbStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "src/core/memory_engine.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -45,20 +46,29 @@ void PvmMemoryEngine::note_leaves(std::int64_t delta) {
   }
 }
 
+std::vector<PvmMemoryEngine::LeafKey> PvmMemoryEngine::sorted_leaf_keys() const {
+  std::vector<LeafKey> keys;
+  keys.reserve(leaf_gfn_.size());
+  leaf_gfn_.for_each([&keys](const LeafKey& key, std::uint64_t) { keys.push_back(key); });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 void PvmMemoryEngine::erase_process_rmap_state(std::uint64_t pid) {
-  std::int64_t erased = 0;
-  for (auto it = leaf_gfn_.begin(); it != leaf_gfn_.end();) {
-    if (std::get<0>(it->first) == pid) {
-      it = leaf_gfn_.erase(it);
-      ++erased;
-    } else {
-      ++it;
+  // Every rmap entry of a live leaf has a backpointer naming its gfn, so
+  // the backpointers find exactly the chains that hold this process's
+  // entries. Erasing from a chain keeps the survivors' order.
+  const std::size_t erased = leaf_gfn_.erase_if([&](const LeafKey& key, std::uint64_t gfn) {
+    const auto& [key_pid, kernel_ring, gva] = key;
+    if (key_pid != pid) {
+      return false;
     }
-  }
-  note_leaves(-erased);
-  for (auto& [gfn, entries] : rmap_) {
-    entries.erase_if([pid](const RmapEntry& e) { return e.pid == pid; }, rmap_slab_);
-  }
+    if (const auto rit = rmap_.find(gfn); rit != rmap_.end()) {
+      rit->second.erase(RmapEntry{pid, kernel_ring, gva}, rmap_slab_);
+    }
+    return true;
+  });
+  note_leaves(-static_cast<std::int64_t>(erased));
 }
 
 void PvmMemoryEngine::destroy_process(std::uint64_t pid, Tlb& tlb, std::uint16_t vpid) {
@@ -214,8 +224,7 @@ std::optional<std::uint64_t> PvmMemoryEngine::reclaim_backing_frame(std::uint64_
     if (const auto rit = rmap_.find(gfn); rit != rmap_.end()) {
       for (const RmapEntry& entry : rit->second) {
         spt(entry.pid, entry.kernel_ring).unmap(entry.gva);
-        leaves_erased += static_cast<std::int64_t>(
-            leaf_gfn_.erase(LeafKey{entry.pid, entry.kernel_ring, entry.gva}));
+        leaves_erased += leaf_gfn_.erase(LeafKey{entry.pid, entry.kernel_ring, entry.gva}) ? 1 : 0;
         ++leaves_zapped;
       }
       rit->second.clear(rmap_slab_);
@@ -340,8 +349,8 @@ Task<bool> PvmMemoryEngine::fill_spt(std::uint64_t pid, std::uint64_t gva, bool 
         co_return true;
       }
     }
-    auto bp = leaf_gfn_.find(key);
-    if (bp != leaf_gfn_.end() && bp->second != gfn) {
+    const std::uint64_t* bp = leaf_gfn_.find(key);
+    if (bp != nullptr && *bp != gfn) {
       // The leaf already translates a different gfn; this fill read a guest
       // PTE that has since been overwritten. Abort — the refault retries
       // against the current guest state.
@@ -351,9 +360,9 @@ Task<bool> PvmMemoryEngine::fill_spt(std::uint64_t pid, std::uint64_t gva, bool 
       }
       co_return true;
     }
-    if (bp == leaf_gfn_.end()) {
+    if (bp == nullptr) {
       fresh = true;
-      leaf_gfn_.emplace(key, gfn);
+      leaf_gfn_.try_emplace(key, gfn);
       note_leaves(+1);
       rmap_.try_emplace(gfn).first->second.push_back(RmapEntry{pid, kernel_ring, gva},
                                                      rmap_slab_);
@@ -377,8 +386,8 @@ Task<bool> PvmMemoryEngine::fill_spt(std::uint64_t pid, std::uint64_t gva, bool 
     // may have swept this translation away while we slept on the lock above
     // — the analogue of KVM's mmu_notifier sequence retry. Installing now
     // would resurrect a dead leaf, so abort and let the refault retry.
-    auto recheck = leaf_gfn_.find(key);
-    if (recheck == leaf_gfn_.end() || recheck->second != gfn) {
+    const std::uint64_t* recheck = leaf_gfn_.find(key);
+    if (recheck == nullptr || *recheck != gfn) {
       if (fresh) {
         if (auto rit = rmap_.find(gfn); rit != rmap_.end()) {
           rit->second.erase(RmapEntry{pid, kernel_ring, gva}, rmap_slab_);
@@ -452,19 +461,19 @@ Task<void> PvmMemoryEngine::zap_one_ring(std::uint64_t pid, std::uint64_t gva, b
   PageTable& table = spt(pid, kernel_ring);
   const LeafKey key{pid, kernel_ring, gva};
   for (;;) {
-    auto bp = leaf_gfn_.find(key);
-    if (bp == leaf_gfn_.end()) {
+    const std::uint64_t* bp = leaf_gfn_.find(key);
+    if (bp == nullptr) {
       // Nothing shadowed (backpointer and leaf are created/destroyed
       // together under the rmap lock), so the zap is free.
       co_return;
     }
-    const std::uint64_t gfn = bp->second;
+    const std::uint64_t gfn = *bp;
     Resource& rmap_lock = locks_.rmap_lock(gfn);
     ScopedResource rmap_guard = co_await rmap_lock.scoped();
     // Revalidate after the wait: another zap (or a bulk teardown) may have
     // removed or replaced the translation while we slept.
-    auto recheck = leaf_gfn_.find(key);
-    if (recheck == leaf_gfn_.end() || recheck->second != gfn) {
+    const std::uint64_t* recheck = leaf_gfn_.find(key);
+    if (recheck == nullptr || *recheck != gfn) {
       continue;  // re-read the backpointer under current state
     }
     const WalkResult probe = table.walk(gva, AccessType::kRead, false);
@@ -475,15 +484,15 @@ Task<void> PvmMemoryEngine::zap_one_ring(std::uint64_t pid, std::uint64_t gva, b
     }
     // A bulk zap takes only the meta lock, so it can still sweep past while
     // we wait for the pt lock — check once more before mutating.
-    auto post = leaf_gfn_.find(key);
-    if (post == leaf_gfn_.end() || post->second != gfn) {
+    const std::uint64_t* post = leaf_gfn_.find(key);
+    if (post == nullptr || *post != gfn) {
       co_return;
     }
     table.unmap(gva);
     if (auto rit = rmap_.find(gfn); rit != rmap_.end()) {
       rit->second.erase(RmapEntry{pid, kernel_ring, gva}, rmap_slab_);
     }
-    leaf_gfn_.erase(post);
+    leaf_gfn_.erase(key);
     note_leaves(-1);
     if (flight::FlightRecorder* flight = sim_->flight()) {
       flight->record(flight::EventKind::kZap, gva, pid);
@@ -592,8 +601,9 @@ void PvmMemoryEngine::verify_coherence(bool strict) const {
 std::vector<std::string> PvmMemoryEngine::check_coherence(bool strict) const {
   std::vector<std::string> violations;
   auto describe = [](std::uint64_t pid, bool kernel_ring, std::uint64_t gva) {
-    return "pid=" + std::to_string(pid) + (kernel_ring ? " ring0" : " ring3") +
-           " gva=0x" + std::to_string(gva);
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%llx", static_cast<unsigned long long>(gva));
+    return "pid=" + std::to_string(pid) + (kernel_ring ? " ring0" : " ring3") + " gva=" + hex;
   };
 
   std::vector<std::uint64_t> pids;
@@ -615,16 +625,16 @@ std::vector<std::string> PvmMemoryEngine::check_coherence(bool strict) const {
       }
       const bool kernel_ring = rings[i];
       tables[i]->for_each_leaf([&](std::uint64_t gva, const Pte& pte) {
-        const auto bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
-        if (bp == leaf_gfn_.end()) {
+        const std::uint64_t* bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
+        if (bp == nullptr) {
           violations.push_back("shadow leaf without gfn backpointer: " +
                                describe(pid, kernel_ring, gva));
         } else {
-          const Pte* mapping = gpa_map_.find_pte(bp->second << kPageShift);
+          const Pte* mapping = gpa_map_.find_pte(*bp << kPageShift);
           if (mapping == nullptr || !mapping->present()) {
             violations.push_back("shadow leaf gfn missing from gpa_map: " +
                                  describe(pid, kernel_ring, gva) + " gfn=" +
-                                 std::to_string(bp->second));
+                                 std::to_string(*bp));
           } else if (mapping->frame_number() != pte.frame_number()) {
             violations.push_back("shadow leaf frame disagrees with gpa_map∘gfn: " +
                                  describe(pid, kernel_ring, gva) + " leaf->" +
@@ -641,8 +651,9 @@ std::vector<std::string> PvmMemoryEngine::check_coherence(bool strict) const {
   }
 
   // 2. Every backpointer has a present leaf and exactly one rmap entry.
-  for (const auto& [key, gfn] : leaf_gfn_) {
+  for (const LeafKey& key : sorted_leaf_keys()) {
     const auto [pid, kernel_ring, gva] = key;
+    const std::uint64_t gfn = *leaf_gfn_.find(key);
     const auto shadow_it = shadows_.find(pid);
     if (shadow_it == shadows_.end()) {
       violations.push_back("backpointer for destroyed process: " +
@@ -675,8 +686,8 @@ std::vector<std::string> PvmMemoryEngine::check_coherence(bool strict) const {
   std::sort(gfns.begin(), gfns.end());
   for (const std::uint64_t gfn : gfns) {
     for (const RmapEntry& entry : rmap_.at(gfn)) {
-      const auto bp = leaf_gfn_.find(LeafKey{entry.pid, entry.kernel_ring, entry.gva});
-      if (bp == leaf_gfn_.end() || bp->second != gfn) {
+      const std::uint64_t* bp = leaf_gfn_.find(LeafKey{entry.pid, entry.kernel_ring, entry.gva});
+      if (bp == nullptr || *bp != gfn) {
         violations.push_back("stale rmap entry: " +
                              describe(entry.pid, entry.kernel_ring, entry.gva) + " gfn=" +
                              std::to_string(gfn));
@@ -707,9 +718,9 @@ std::vector<std::string> PvmMemoryEngine::check_coherence(bool strict) const {
                                  describe(pid, kernel_ring, gva));
             return;
           }
-          const auto bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
-          if (bp != leaf_gfn_.end() && bp->second != guest->frame_number()) {
-            violations.push_back("shadow leaf caches gfn " + std::to_string(bp->second) +
+          const std::uint64_t* bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
+          if (bp != nullptr && *bp != guest->frame_number()) {
+            violations.push_back("shadow leaf caches gfn " + std::to_string(*bp) +
                                  " but guest maps gfn " +
                                  std::to_string(guest->frame_number()) + ": " +
                                  describe(pid, kernel_ring, gva));
@@ -741,23 +752,23 @@ bool PvmMemoryEngine::debug_plant_violation() {
   // quiescent point there may be none left; fall back to planting a
   // dangling backpointer, which the structural oracle reports as
   // "backpointer for destroyed process".
-  for (const auto& [key, gfn] : leaf_gfn_) {
+  for (const LeafKey& key : sorted_leaf_keys()) {
     const auto& [pid, kernel_ring, gva] = key;
     if (debug_corrupt_spt_leaf(pid, kernel_ring, gva)) {
       return true;
     }
   }
-  leaf_gfn_.emplace(LeafKey{std::numeric_limits<std::uint64_t>::max(), false, 0}, 0);
+  leaf_gfn_.try_emplace(LeafKey{std::numeric_limits<std::uint64_t>::max(), false, 0}, 0);
   return true;
 }
 
 bool PvmMemoryEngine::debug_drop_rmap_entry(std::uint64_t pid, bool kernel_ring,
                                             std::uint64_t gva) {
-  const auto bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
-  if (bp == leaf_gfn_.end()) {
+  const std::uint64_t* bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
+  if (bp == nullptr) {
     return false;
   }
-  const auto rit = rmap_.find(bp->second);
+  const auto rit = rmap_.find(*bp);
   if (rit == rmap_.end()) {
     return false;
   }
@@ -766,11 +777,11 @@ bool PvmMemoryEngine::debug_drop_rmap_entry(std::uint64_t pid, bool kernel_ring,
 
 bool PvmMemoryEngine::debug_duplicate_rmap_entry(std::uint64_t pid, bool kernel_ring,
                                                  std::uint64_t gva) {
-  const auto bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
-  if (bp == leaf_gfn_.end()) {
+  const std::uint64_t* bp = leaf_gfn_.find(LeafKey{pid, kernel_ring, gva});
+  if (bp == nullptr) {
     return false;
   }
-  rmap_.try_emplace(bp->second)
+  rmap_.try_emplace(*bp)
       .first->second.push_back(RmapEntry{pid, kernel_ring, gva}, rmap_slab_);
   return true;
 }
@@ -797,9 +808,10 @@ void PvmMemoryEngine::checkpoint_to_wal(wal::Log& log) const {
     log.append(wal::RecordType::kGpaMapEntry, payload);
   });
   // Shadow leaves in (pid, ring, gva) backpointer order — the same
-  // deterministic order the oracle and reclaim sweeps use.
-  for (const auto& [key, gfn] : leaf_gfn_) {
+  // deterministic order the oracle uses.
+  for (const LeafKey& key : sorted_leaf_keys()) {
     const auto& [pid, kernel_ring, gva] = key;
+    const std::uint64_t gfn = *leaf_gfn_.find(key);
     const Pte* leaf = spt(pid, kernel_ring).find_pte(gva);
     if (leaf == nullptr || !leaf->present()) {
       continue;  // mid-zap backpointer; the refault after restore refills it
@@ -854,7 +866,7 @@ bool PvmMemoryEngine::restore_from_records(const std::vector<wal::Record>& recor
         }
         const bool kernel_ring = ring != 0;
         spt(pid, kernel_ring).map(gva, frame, Pte(raw).flags());
-        leaf_gfn_[LeafKey{pid, kernel_ring, gva}] = gfn;
+        leaf_gfn_.insert_or_assign(LeafKey{pid, kernel_ring, gva}, gfn);
         rmap_.try_emplace(gfn).first->second.push_back(RmapEntry{pid, kernel_ring, gva},
                                                        rmap_slab_);
         note_leaves(+1);

@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -51,6 +50,7 @@
 #include "src/core/spt_locks.h"
 #include "src/metrics/counters.h"
 #include "src/sim/arena.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
 #include "src/wal/wal.h"
@@ -202,7 +202,7 @@ class PvmMemoryEngine {
   // Serializes the engine's durable structure — gpa_map translations and
   // every installed shadow leaf with its gfn backpointer — as a record
   // stream ending in a checkpoint record. Deterministic: gpa_map leaves in
-  // ascending GPA order, shadow leaves in leaf_gfn_ (pid, ring, gva) order.
+  // ascending GPA order, shadow leaves in (pid, ring, gva) order.
   void checkpoint_to_wal(wal::Log& log) const;
 
   // Rebuilds gpa_map, shadow tables, backpointers, and the rmap from a
@@ -243,12 +243,12 @@ class PvmMemoryEngine {
   bool debug_corrupt_spt_leaf(std::uint64_t pid, bool kernel_ring, std::uint64_t gva);
 
   // Plants one deterministic coherence violation: corrupts the first tracked
-  // shadow leaf in (pid, ring, gva) order (the backpointer index is an
-  // ordered map, so the choice is interleaving-independent), or — when no
-  // leaf survived, e.g. at a post-teardown quiescent point — inserts a
-  // dangling backpointer that the structural oracle reports as
-  // "backpointer for destroyed process". Used by the sweep determinism
-  // tests to make the oracle fail on demand. Always returns true.
+  // shadow leaf in sorted (pid, ring, gva) order (so the choice is
+  // interleaving-independent), or — when no leaf survived, e.g. at a
+  // post-teardown quiescent point — inserts a dangling backpointer that the
+  // structural oracle reports as "backpointer for destroyed process". Used
+  // by the sweep determinism tests to make the oracle fail on demand.
+  // Always returns true.
   bool debug_plant_violation();
 
   // Erases the rmap entry for an existing leaf but keeps the leaf (creates a
@@ -377,9 +377,18 @@ class PvmMemoryEngine {
     RmapNode* tail_ = nullptr;
   };
 
-  // (pid, kernel_ring, gva) — one shadow leaf. std::map for deterministic
-  // iteration order in the oracle and in bulk erases.
+  // (pid, kernel_ring, gva) — one shadow leaf. Tuple order is the
+  // (pid, ring, gva) order of every sorted walk.
   using LeafKey = std::tuple<std::uint64_t, bool, std::uint64_t>;
+  struct LeafKeyHash {
+    std::uint64_t operator()(const LeafKey& key) const {
+      const auto& [pid, kernel_ring, gva] = key;
+      return gva ^ (pid * 0xff51afd7ed558ccdull) ^ (kernel_ring ? 1 : 0);
+    }
+  };
+
+  // Backpointer keys in (pid, ring, gva) order, for the deterministic walks.
+  std::vector<LeafKey> sorted_leaf_keys() const;
 
   // RAII marker for a mutation in flight; the oracle only auto-fires when
   // the completing mutator is the sole one (a half-applied concurrent
@@ -404,8 +413,9 @@ class PvmMemoryEngine {
   Task<void> zap_one_ring(std::uint64_t pid, std::uint64_t gva, bool kernel_ring, Tlb& tlb,
                           std::uint16_t vpid);
 
-  // Erases all backpointers and rmap entries belonging to `pid` (bulk
-  // teardown / process destruction; caller holds the structural lock).
+  // Erases all backpointers belonging to `pid` and, through them, its rmap
+  // entries (bulk teardown / process destruction; caller holds the
+  // structural lock).
   void erase_process_rmap_state(std::uint64_t pid);
 
   // Feeds the live-shadow-leaves gauge when a time-series collector is
@@ -441,8 +451,12 @@ class PvmMemoryEngine {
   SlabAllocator<RmapNode> rmap_slab_{64};
   // Backpointers: which gfn each installed shadow leaf translates. Keeps the
   // rmap exact (zaps erase precisely their own entry) and lets fills detect
-  // that a concurrent zap invalidated them.
-  std::map<LeafKey, std::uint64_t> leaf_gfn_;
+  // that a concurrent zap invalidated them. A fill records its backpointer
+  // before the leaf (and, for a structural fill, its shadow page) exists, so
+  // the index lives beside the shadow tables rather than inside them. Never
+  // hold a pointer into it across a suspension: inserts and erases move
+  // entries.
+  FlatMap<LeafKey, std::uint64_t, LeafKeyHash> leaf_gfn_;
 
   std::function<void()> reclaim_flush_;
 

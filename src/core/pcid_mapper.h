@@ -10,14 +10,21 @@
 // 16 slots per ring are multiplexed over guest processes LRU-style; stealing
 // a slot requires flushing its stale entries (counted, so benchmarks see the
 // pressure effect with many processes).
+//
+// Each ring is a fixed array of 16 {pid, stamp} slots, one per hardware
+// PCID, scanned linearly: no allocation, no hashing. One monotonic clock
+// stamps every use and every release. The least-recently-used slot is the
+// one with the lowest use stamp, and a released slot is reused
+// most-recently-released first; before any release, untouched slots are
+// handed out in ascending PCID order.
 
 #ifndef PVM_SRC_CORE_PCID_MAPPER_H_
 #define PVM_SRC_CORE_PCID_MAPPER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <vector>
+#include <initializer_list>
 
 namespace pvm {
 
@@ -37,71 +44,72 @@ class PcidMapper {
   Mapping map(std::uint64_t guest_pid, bool kernel_ring) {
     Ring& ring = kernel_ring ? kernel_ : user_;
     const std::uint16_t base = kernel_ring ? kKernelBase : kUserBase;
-
-    auto it = ring.by_pid.find(guest_pid);
-    if (it != ring.by_pid.end()) {
-      // Refresh LRU position.
-      ring.lru.splice(ring.lru.end(), ring.lru, it->second.lru_pos);
-      return Mapping{it->second.hw_pcid, false};
+    const std::uint64_t now = ++clock_;
+    for (int i = 0; i < kSlotsPerRing; ++i) {
+      if (ring[i].state == State::kMapped && ring[i].pid == guest_pid) {
+        ring[i].stamp = now;  // refresh LRU position
+        return Mapping{static_cast<std::uint16_t>(base + i), false};
+      }
     }
 
-    std::uint16_t slot = 0;
-    bool have_slot = false;
-    if (!ring.free_slots.empty()) {
-      slot = ring.free_slots.back();
-      ring.free_slots.pop_back();
-      have_slot = true;
-    } else if (ring.next_fresh < kSlotsPerRing) {
-      slot = static_cast<std::uint16_t>(base + ring.next_fresh++);
-      have_slot = true;
+    int fresh = -1;     // lowest never-used slot
+    int released = -1;  // most recently released slot
+    int lru = -1;       // least recently used mapped slot
+    for (int i = 0; i < kSlotsPerRing; ++i) {
+      const Slot& slot = ring[i];
+      if (slot.state == State::kFresh && fresh < 0) {
+        fresh = i;
+      } else if (slot.state == State::kReleased &&
+                 (released < 0 || slot.stamp > ring[released].stamp)) {
+        released = i;
+      } else if (slot.state == State::kMapped && (lru < 0 || slot.stamp < ring[lru].stamp)) {
+        lru = i;
+      }
     }
-    if (have_slot) {
-      ring.lru.push_back(guest_pid);
-      ring.by_pid[guest_pid] = Entry{slot, std::prev(ring.lru.end())};
-      return Mapping{slot, false};
+    const bool stolen = released < 0 && fresh < 0;
+    const int chosen = released >= 0 ? released : fresh >= 0 ? fresh : lru;
+    ring[chosen] = Slot{guest_pid, now, State::kMapped};
+    if (stolen) {
+      ++steals_;
     }
-
-    // Steal the least-recently-used slot.
-    const std::uint64_t victim = ring.lru.front();
-    ring.lru.pop_front();
-    const std::uint16_t stolen = ring.by_pid.at(victim).hw_pcid;
-    ring.by_pid.erase(victim);
-    ring.lru.push_back(guest_pid);
-    ring.by_pid[guest_pid] = Entry{stolen, std::prev(ring.lru.end())};
-    ++steals_;
-    return Mapping{stolen, true};
+    return Mapping{static_cast<std::uint16_t>(base + chosen), stolen};
   }
 
-  // Drops a process's mappings (process exit). Returns the freed hardware
-  // PCIDs so the caller can flush them.
+  // Drops a process's mappings (process exit); their slots become free.
   void release(std::uint64_t guest_pid) {
     for (Ring* ring : {&kernel_, &user_}) {
-      auto it = ring->by_pid.find(guest_pid);
-      if (it != ring->by_pid.end()) {
-        ring->free_slots.push_back(it->second.hw_pcid);
-        ring->lru.erase(it->second.lru_pos);
-        ring->by_pid.erase(it);
+      for (Slot& slot : *ring) {
+        if (slot.state == State::kMapped && slot.pid == guest_pid) {
+          slot.state = State::kReleased;
+          slot.stamp = ++clock_;
+        }
       }
     }
   }
 
   std::uint64_t steals() const { return steals_; }
-  std::size_t live_mappings() const { return kernel_.by_pid.size() + user_.by_pid.size(); }
+  std::size_t live_mappings() const {
+    std::size_t live = 0;
+    for (const Ring* ring : {&kernel_, &user_}) {
+      for (const Slot& slot : *ring) {
+        live += slot.state == State::kMapped ? 1 : 0;
+      }
+    }
+    return live;
+  }
 
  private:
-  struct Entry {
-    std::uint16_t hw_pcid;
-    std::list<std::uint64_t>::iterator lru_pos;
+  enum class State : std::uint8_t { kFresh, kMapped, kReleased };
+  struct Slot {
+    std::uint64_t pid = 0;
+    std::uint64_t stamp = 0;  // last use (kMapped) or release (kReleased)
+    State state = State::kFresh;
   };
-  struct Ring {
-    std::unordered_map<std::uint64_t, Entry> by_pid;
-    std::list<std::uint64_t> lru;
-    std::vector<std::uint16_t> free_slots;
-    std::uint16_t next_fresh = 0;
-  };
+  using Ring = std::array<Slot, kSlotsPerRing>;
 
-  Ring kernel_;
-  Ring user_;
+  Ring kernel_{};
+  Ring user_{};
+  std::uint64_t clock_ = 0;
   std::uint64_t steals_ = 0;
 };
 

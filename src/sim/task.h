@@ -8,19 +8,111 @@
 // Tasks are single-owner move-only handles. A task spawned at the top level of
 // a `Simulation` (see simulation.h) is owned by the simulation until it
 // finishes.
+//
+// Frames are recycled: every protocol step is a coroutine, so a simulation
+// creates and destroys millions of frames. `task_frames` keeps a
+// thread-local free list per 64-byte size class and serves frames from it
+// without touching the heap once warm; larger frames go to the heap.
+// Simulations are confined to one thread (pvm::sweep runs whole simulations
+// per worker), so no list is ever shared. ASan builds compile the pool out,
+// so every frame still passes through the sanitizer's allocator and
+// quarantine.
 
 #ifndef PVM_SRC_SIM_TASK_H_
 #define PVM_SRC_SIM_TASK_H_
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <new>
 #include <utility>
+
+// GCC announces AddressSanitizer with __SANITIZE_ADDRESS__, Clang through
+// __has_feature.
+#if defined(__SANITIZE_ADDRESS__)
+#define PVM_ASAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PVM_ASAN_BUILD 1
+#endif
+#endif
 
 namespace pvm {
 
 class Simulation;
+
+namespace task_frames {
+
+#ifdef PVM_ASAN_BUILD
+inline constexpr bool kPooled = false;  // ASan must see every frame
+#else
+inline constexpr bool kPooled = true;
+#endif
+inline constexpr std::size_t kClassBytes = 64;
+inline constexpr std::size_t kClasses = 32;  // frames up to 2 KiB are pooled
+
+// Per-thread pool state. Trivially destructible and constant-initialized,
+// so it stays readable through thread and static teardown; the Drainer
+// below returns the cached blocks and marks the pool torn down, after which
+// frames go straight to the heap.
+struct FreeBlock {
+  FreeBlock* next;
+};
+enum class Phase : std::uint8_t { kUnused, kActive, kTornDown };
+struct PoolState {
+  FreeBlock* heads[kClasses];
+  Phase phase;
+};
+inline thread_local PoolState pool{};
+
+struct Drainer {
+  Drainer() { pool.phase = Phase::kActive; }
+  ~Drainer() {
+    pool.phase = Phase::kTornDown;
+    for (FreeBlock*& head : pool.heads) {
+      while (head != nullptr) {
+        FreeBlock* block = head;
+        head = block->next;
+        ::operator delete(block);
+      }
+    }
+  }
+};
+
+inline void* allocate(std::size_t size) {
+  if constexpr (kPooled) {
+    const std::size_t size_class = (size - 1) / kClassBytes;
+    if (size_class < kClasses) {
+      if (pool.phase == Phase::kUnused) {
+        static thread_local Drainer drainer;  // first frame on this thread
+        (void)drainer;
+      }
+      if (FreeBlock* block = pool.heads[size_class]; block != nullptr) {
+        pool.heads[size_class] = block->next;
+        return block;
+      }
+      // Every block of a pooled class has the full class size, so any
+      // thread's list can take it back.
+      return ::operator new((size_class + 1) * kClassBytes);
+    }
+  }
+  return ::operator new(size);
+}
+
+inline void deallocate(void* frame, std::size_t size) noexcept {
+  if constexpr (kPooled) {
+    const std::size_t size_class = (size - 1) / kClassBytes;
+    if (size_class < kClasses && pool.phase == Phase::kActive) {
+      pool.heads[size_class] = ::new (frame) FreeBlock{pool.heads[size_class]};
+      return;
+    }
+  }
+  ::operator delete(frame);
+}
+
+}  // namespace task_frames
 
 // State shared by every task promise: the owning simulation, the awaiting
 // parent coroutine (if any), and a captured exception to rethrow on resume.
@@ -28,6 +120,12 @@ struct TaskPromiseBase {
   Simulation* sim = nullptr;
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+
+  // Coroutine frames come from the per-thread pool (see task_frames).
+  static void* operator new(std::size_t size) { return task_frames::allocate(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    task_frames::deallocate(frame, size);
+  }
 
   // On completion, transfer control back to the awaiting parent if there is
   // one; otherwise suspend (a detached/root task whose frame is reclaimed by

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/arch/page_table.h"
@@ -105,6 +106,25 @@ TEST(PageTableTest, ForEachLeafVisitsAllMappings) {
   pt.for_each_leaf([&](std::uint64_t va, const Pte& pte) { seen[va] = pte.frame_number(); });
   EXPECT_EQ(seen, expected);
   EXPECT_EQ(pt.present_leaf_count(), expected.size());
+}
+
+TEST(PageTableTest, ForEachLeafSignExtendsKernelHalfAddresses) {
+  PageTable pt("test", nullptr);
+  pt.map(0x7fffffffe000, 1, PteFlags::rw_user());
+  pt.map(0xffff800000003000, 2, PteFlags::rw_kernel());
+  pt.map(0xffffffffffe00000, 3, PteFlags::rw_kernel());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+  pt.for_each_leaf([&](std::uint64_t va, const Pte& pte) {
+    seen.emplace_back(va, pte.frame_number());
+  });
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {0x7fffffffe000, 1}, {0xffff800000003000, 2}, {0xffffffffffe00000, 3}};
+  EXPECT_EQ(seen, expected);
+  // Every reported address finds its leaf again.
+  for (const auto& [va, frame] : seen) {
+    ASSERT_NE(pt.find_pte(va), nullptr);
+    EXPECT_EQ(pt.find_pte(va)->frame_number(), frame);
+  }
 }
 
 TEST(PageTableTest, TableFramesComeFromAllocator) {

@@ -165,9 +165,15 @@ TEST(PvmIsolationTest, UserSptNeverMapsKernelAddresses) {
     EXPECT_LT(gva, GuestProcess::kKernelBase)
         << "kernel address leaked into the user shadow table";
   });
-  // And the kernel SPT did receive the kernel-half fills.
+  // And the kernel SPT did receive the kernel-half fills, at kernel-half
+  // addresses.
   const PageTable& kernel_spt = backend->engine().spt(proc.pid(), /*kernel_ring=*/true);
   EXPECT_GE(kernel_spt.present_leaf_count(), 8u);
+  std::uint64_t kernel_half_leaves = 0;
+  kernel_spt.for_each_leaf([&](std::uint64_t gva, const Pte&) {
+    kernel_half_leaves += gva >= GuestProcess::kKernelBase ? 1 : 0;
+  });
+  EXPECT_GE(kernel_half_leaves, 8u);
 }
 
 TEST(PvmIsolationTest, ContainersHaveDistinctVpidTags) {

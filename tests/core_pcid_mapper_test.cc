@@ -1,12 +1,17 @@
 // Unit tests for the PCID mapping optimization (§3.3.2): ring-separated
-// ranges 32-47 / 48-63, stable mappings, LRU stealing, release semantics.
+// ranges 32-47 / 48-63, stable mappings, LRU stealing, release semantics,
+// and a differential run against a std::list LRU model.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/core/pcid_mapper.h"
+#include "src/sim/random.h"
 
 namespace pvm {
 namespace {
@@ -126,6 +131,91 @@ TEST(PcidMapperTest, NoSlotCollisionsUnderChurn) {
       }
     }
     ASSERT_LE(mapper.live_mappings(), 32u);
+  }
+}
+
+// The textbook LRU the slot arrays must reproduce: a recency list, a pid
+// index, a LIFO stack of released slots, then fresh slots in order.
+class ListLruPcidModel {
+ public:
+  PcidMapper::Mapping map(std::uint64_t pid, bool kernel_ring) {
+    Ring& ring = kernel_ring ? kernel_ : user_;
+    const std::uint16_t base = kernel_ring ? PcidMapper::kKernelBase : PcidMapper::kUserBase;
+    if (auto it = ring.by_pid.find(pid); it != ring.by_pid.end()) {
+      ring.lru.splice(ring.lru.end(), ring.lru, it->second.lru_pos);
+      return {it->second.hw_pcid, false};
+    }
+    std::uint16_t slot = 0;
+    bool stolen = false;
+    if (!ring.free_slots.empty()) {
+      slot = ring.free_slots.back();
+      ring.free_slots.pop_back();
+    } else if (ring.next_fresh < PcidMapper::kSlotsPerRing) {
+      slot = static_cast<std::uint16_t>(base + ring.next_fresh++);
+    } else {
+      const std::uint64_t victim = ring.lru.front();
+      ring.lru.pop_front();
+      slot = ring.by_pid.at(victim).hw_pcid;
+      ring.by_pid.erase(victim);
+      stolen = true;
+      ++steals_;
+    }
+    ring.lru.push_back(pid);
+    ring.by_pid[pid] = Entry{slot, std::prev(ring.lru.end())};
+    return {slot, stolen};
+  }
+
+  void release(std::uint64_t pid) {
+    for (Ring* ring : {&kernel_, &user_}) {
+      if (auto it = ring->by_pid.find(pid); it != ring->by_pid.end()) {
+        ring->free_slots.push_back(it->second.hw_pcid);
+        ring->lru.erase(it->second.lru_pos);
+        ring->by_pid.erase(it);
+      }
+    }
+  }
+
+  std::uint64_t steals() const { return steals_; }
+  std::size_t live_mappings() const { return kernel_.by_pid.size() + user_.by_pid.size(); }
+
+ private:
+  struct Entry {
+    std::uint16_t hw_pcid;
+    std::list<std::uint64_t>::iterator lru_pos;
+  };
+  struct Ring {
+    std::map<std::uint64_t, Entry> by_pid;
+    std::list<std::uint64_t> lru;
+    std::vector<std::uint16_t> free_slots;
+    std::uint16_t next_fresh = 0;
+  };
+  Ring kernel_;
+  Ring user_;
+  std::uint64_t steals_ = 0;
+};
+
+TEST(PcidMapperTest, MatchesListLruModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Xoshiro256 rng(seed);
+    PcidMapper mapper;
+    ListLruPcidModel model;
+    // 40 pids over 16 slots per ring: steals, refreshes and releases mix.
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t pid = rng.next_in(1, 40);
+      if (rng.next_bool(0.08)) {
+        mapper.release(pid);
+        model.release(pid);
+      } else {
+        const bool kernel_ring = rng.next_bool(0.5);
+        const PcidMapper::Mapping got = mapper.map(pid, kernel_ring);
+        const PcidMapper::Mapping want = model.map(pid, kernel_ring);
+        ASSERT_EQ(got.hw_pcid, want.hw_pcid) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.stolen, want.stolen) << "seed " << seed << " step " << step;
+      }
+      ASSERT_EQ(mapper.live_mappings(), model.live_mappings());
+    }
+    EXPECT_EQ(mapper.steals(), model.steals());
+    EXPECT_GT(mapper.steals(), 0u);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,7 +98,12 @@ TEST(SptOracleTest, CatchesKernelLeafInUserSpt) {
   h.map_and_fill(1, 0x1000, 10);
 
   ASSERT_TRUE(h.engine->debug_install_kernel_leaf_in_user_spt(1, kGuestKernelHalfBase));
-  EXPECT_FALSE(h.engine->check_coherence(false).empty());
+  const std::vector<std::string> violations = h.engine->check_coherence(false);
+  EXPECT_FALSE(violations.empty());
+  EXPECT_NE(std::find(violations.begin(), violations.end(),
+                      "KPTI violated: kernel-half translation in user SPT: pid=1 ring3 "
+                      "gva=0xffff800000000000"),
+            violations.end());
   EXPECT_THROW(h.engine->verify_coherence(false), SptCoherenceError);
 }
 

@@ -1,9 +1,10 @@
 // Randomized property tests against reference models: page-table operations
-// vs a std::map oracle, TLB consistency under arbitrary op streams, VMCS
-// merge over random field values, and the simulation's misuse guards.
+// vs a std::map oracle, the TLB vs a linear-scan reference TLB, VMCS merge
+// over random field values, and the simulation's misuse guards.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdlib>
 #include <map>
@@ -278,38 +279,154 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
 
 // --- TLB internal consistency under random ops ---
 
+// Linear-scan reference TLB: the same slots, round-robin victim and
+// statistics as Tlb, with a brute-force search in place of its hash index.
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(std::size_t capacity) : slots_(capacity) {}
+
+  Tlb::LookupResult lookup(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn) {
+    const Slot* slot = find(vpid, pcid, vpn);
+    if (slot == nullptr && pcid != Tlb::kGlobalPcid) {
+      slot = find(vpid, Tlb::kGlobalPcid, vpn);
+    }
+    if (slot == nullptr) {
+      ++stats_.misses;
+      return {};
+    }
+    ++stats_.hits;
+    return {true, slot->frame, slot->writable, slot->user};
+  }
+
+  void insert(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn, const Pte& pte) {
+    const std::uint16_t tag = pte.global() ? Tlb::kGlobalPcid : pcid;
+    Slot* slot = find(vpid, tag, vpn);
+    if (slot == nullptr) {
+      slot = &slots_[next_victim_];
+      next_victim_ = (next_victim_ + 1) % slots_.size();
+      if (slot->valid) {
+        ++stats_.evictions;
+        ++stats_.entries_dropped;
+      }
+    }
+    *slot = Slot{true, vpid, tag, vpn, pte.frame_number(), pte.writable(), pte.user()};
+  }
+
+  void flush_all() {
+    ++stats_.flush_all;
+    drop_if([](const Slot&) { return true; });
+  }
+  void flush_vpid(std::uint16_t vpid) {
+    ++stats_.flush_vpid;
+    drop_if([&](const Slot& slot) { return slot.vpid == vpid; });
+  }
+  void flush_pcid(std::uint16_t vpid, std::uint16_t pcid) {
+    ++stats_.flush_pcid;
+    drop_if([&](const Slot& slot) { return slot.vpid == vpid && slot.pcid == pcid; });
+  }
+  void flush_page(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn) {
+    drop_if([&](const Slot& slot) {
+      return slot.vpid == vpid && slot.vpn == vpn &&
+             (slot.pcid == pcid || slot.pcid == Tlb::kGlobalPcid);
+    });
+  }
+
+  const TlbStats& stats() const { return stats_; }
+  std::size_t valid_entries() const {
+    return static_cast<std::size_t>(
+        std::count_if(slots_.begin(), slots_.end(), [](const Slot& s) { return s.valid; }));
+  }
+
+ private:
+  struct Slot {
+    bool valid = false;
+    std::uint16_t vpid = 0;
+    std::uint16_t pcid = 0;
+    std::uint64_t vpn = 0;
+    std::uint64_t frame = 0;
+    bool writable = false;
+    bool user = false;
+  };
+
+  Slot* find(std::uint16_t vpid, std::uint16_t pcid, std::uint64_t vpn) {
+    for (Slot& slot : slots_) {
+      if (slot.valid && slot.vpid == vpid && slot.pcid == pcid && slot.vpn == vpn) {
+        return &slot;
+      }
+    }
+    return nullptr;
+  }
+
+  template <typename Pred>
+  void drop_if(Pred pred) {
+    for (Slot& slot : slots_) {
+      if (slot.valid && pred(slot)) {
+        slot.valid = false;
+        ++stats_.entries_dropped;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t next_victim_ = 0;
+  TlbStats stats_;
+};
+
 class TlbFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TlbFuzz, IndexStaysConsistent) {
   Xoshiro256 rng(GetParam());
   Tlb tlb(64);
-  std::map<std::tuple<std::uint16_t, std::uint16_t, std::uint64_t>, std::uint64_t> oracle;
+  ReferenceTlb reference(64);
 
   for (int step = 0, steps = fuzz_steps(6000); step < steps; ++step) {
     const auto vpid = static_cast<std::uint16_t>(rng.next_in(1, 3));
     const auto pcid = static_cast<std::uint16_t>(rng.next_in(1, 4));
-    const std::uint64_t vpn = rng.next_below(128);
+    // Mostly a small hot set (hits, refills, evictions), sometimes any
+    // 36-bit VPN (index clusters that wrap around the table's end).
+    const std::uint64_t vpn =
+        rng.next_bool(0.8) ? rng.next_below(128) : rng.next() & 0xfffffffffull;
     const double draw = rng.next_double();
     if (draw < 0.5) {
       PteFlags flags = PteFlags::rw_user();
       flags.global = rng.next_bool(0.1);
-      tlb.insert(vpid, pcid, vpn, Pte::make(step, flags));
+      flags.writable = rng.next_bool(0.7);
+      const Pte pte = Pte::make(static_cast<std::uint64_t>(step), flags);
+      tlb.insert(vpid, pcid, vpn, pte);
+      reference.insert(vpid, pcid, vpn, pte);
     } else if (draw < 0.7) {
-      (void)tlb.lookup(vpid, pcid, vpn);
+      const Tlb::LookupResult got = tlb.lookup(vpid, pcid, vpn);
+      const Tlb::LookupResult want = reference.lookup(vpid, pcid, vpn);
+      ASSERT_EQ(got.hit, want.hit) << "step " << step;
+      ASSERT_EQ(got.frame, want.frame) << "step " << step;
+      ASSERT_EQ(got.writable, want.writable) << "step " << step;
+      ASSERT_EQ(got.user, want.user) << "step " << step;
     } else if (draw < 0.8) {
       tlb.flush_page(vpid, pcid, vpn);
+      reference.flush_page(vpid, pcid, vpn);
     } else if (draw < 0.9) {
       tlb.flush_pcid(vpid, pcid);
+      reference.flush_pcid(vpid, pcid);
     } else if (draw < 0.97) {
       tlb.flush_vpid(vpid);
+      reference.flush_vpid(vpid);
     } else {
       tlb.flush_all();
+      reference.flush_all();
     }
-    // Core invariants: entry count bounded by capacity; a hit after insert
-    // without intervening flush returns the inserted frame.
     ASSERT_LE(tlb.valid_entries(), tlb.capacity());
+    ASSERT_EQ(tlb.valid_entries(), reference.valid_entries()) << "step " << step;
   }
-  (void)oracle;
+
+  const TlbStats& got = tlb.stats();
+  const TlbStats& want = reference.stats();
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.flush_all, want.flush_all);
+  EXPECT_EQ(got.flush_vpid, want.flush_vpid);
+  EXPECT_EQ(got.flush_pcid, want.flush_pcid);
+  EXPECT_EQ(got.entries_dropped, want.entries_dropped);
 
   // Deterministic end-to-end check: fresh insert then immediate hit.
   tlb.insert(1, 1, 5, Pte::make(4242, PteFlags::rw_user()));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/workloads/apps.h"
 #include "src/workloads/lmbench.h"
@@ -180,6 +182,38 @@ TEST(AppModelTest, BlogbenchReturnsScore) {
   }(c, params, &score));
   platform->sim().run();
   EXPECT_GT(score, 0.0);
+}
+
+TEST(AppModelTest, BlogbenchStaysCoherentUnderTheArmedOracle) {
+  // The armed SPT oracle re-checks every shadow leaf after each mutation,
+  // kernel-half fills included, so this run fails on its first kernel fill
+  // if a leaf's reported address disagrees with its backpointer.
+  PlatformConfig config;
+  config.mode = DeployMode::kPvmNst;
+  config.coherence_oracle = true;
+  VirtualPlatform platform(config);
+  SecureContainer& c = platform.create_container("c0");
+  platform.sim().spawn(c.boot(32));
+  ASSERT_NO_THROW(platform.sim().run());
+  double score = 0;
+  AppParams params;
+  params.size = 0.1;
+  platform.sim().spawn([](SecureContainer& cc, AppParams p, double* out) -> Task<void> {
+    *out = co_await app_blogbench(cc, cc.vcpu(0), *cc.init_process(), p);
+  }(c, params, &score));
+  ASSERT_NO_THROW(platform.sim().run());
+  EXPECT_GT(score, 0.0);
+
+  PvmMemoryEngine* engine = c.shadow_engine();
+  ASSERT_NE(engine, nullptr);
+  ASSERT_TRUE(engine->coherence_oracle_enabled());
+  EXPECT_EQ(engine->check_coherence(/*strict=*/true), std::vector<std::string>{});
+  std::uint64_t kernel_half_leaves = 0;
+  engine->spt(c.init_process()->pid(), /*kernel_ring=*/true)
+      .for_each_leaf([&](std::uint64_t gva, const Pte&) {
+        kernel_half_leaves += gva >= kGuestKernelHalfBase ? 1 : 0;
+      });
+  EXPECT_GT(kernel_half_leaves, 0u);
 }
 
 TEST(AppModelTest, SpecjbbReturnsThroughput) {
