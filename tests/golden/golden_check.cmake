@@ -8,7 +8,8 @@
 #
 # Invoked as a ctest entry:
 #
-#   cmake -DCASE=<table0|fig10|bench|simcheck> -DBIN=<binary> -DJOBS=<n>
+#   cmake -DCASE=<table0|fig10|bench|simcheck|profile> -DBIN=<binary>
+#         [-DBIN2=<binary>] -DJOBS=<n>
 #         -DGOLDEN_DIR=<srcdir>/tests/golden -DWORK_DIR=<scratch>
 #         -P golden_check.cmake
 #
@@ -26,6 +27,10 @@
 #   simcheck  3-seed corrupting sweep (exit 1 expected) from a controlled
 #             cwd with a relative --postmortem-dir, at --jobs ${JOBS}:
 #             stdout vs simcheck_sweep.txt, postmortem json+txt vs tarball
+#   profile   pvm.profile.v1 bytes: a pvm-matrix pagefault+migration run's
+#             --profile vs matrix_profile.json, and PVM_BENCH_SCALE=0.01
+#             fig10_pagefault_scaling --profile (BIN2) vs its SHA-256 line
+#             in profile.sha256
 #
 # Regenerating goldens (after an intentional output change):
 #   build/bench/table0_switch_cost --json tests/golden/table0_switch_cost.json
@@ -35,6 +40,13 @@
 #       > tests/golden/bench/<name>.txt
 #       and replace <name>'s line in tests/golden/bench/json.sha256 with
 #       the output of `sha256sum <name>.json`
+#   build/src/tools/pvm-matrix --modes pvm,kvm-spt --workloads \
+#       pagefault,migration --profile tests/golden/matrix_profile.json \
+#       --out /dev/null
+#   cd <scratch> && PVM_BENCH_SCALE=0.01 build/bench/fig10_pagefault_scaling \
+#       --profile fig10_pagefault_scaling.profile.json > /dev/null
+#       and replace tests/golden/profile.sha256 with the output of
+#       `sha256sum fig10_pagefault_scaling.profile.json`
 #   cd <scratch> && build/src/check/simcheck --modes pvm --policies fifo \
 #       --seeds 3 --debug-corrupt-from-seed 3 \
 #       --postmortem-dir golden-postmortems > simcheck_sweep.txt
@@ -157,6 +169,34 @@ elseif(CASE STREQUAL "simcheck")
   compare_or_die("${WORK_DIR}/golden-postmortems/postmortem-pvm-fifo-3.txt"
                  "${WORK_DIR}/expected/postmortem-pvm-fifo-3.txt"
                  "postmortem timeline, jobs=${JOBS}")
+
+elseif(CASE STREQUAL "profile")
+  # The critical-path fold (src/obs/prof.cc) feeds every --profile export:
+  # the matrix cells cover named lock waits, the op.migration;dirty_track
+  # cross-track redirect and nested zaps; fig10 covers 180 ops at scale.
+  execute_process(COMMAND "${BIN}" --modes pvm,kvm-spt --workloads pagefault,migration
+                          --profile "${WORK_DIR}/matrix_profile.json" --out /dev/null
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "pvm-matrix --profile failed (exit ${rc})")
+  endif()
+  compare_or_die("${WORK_DIR}/matrix_profile.json" "${GOLDEN_DIR}/matrix_profile.json"
+                 "pvm-matrix pvm.profile.v1 export")
+  set(ENV{PVM_BENCH_SCALE} "0.01")
+  execute_process(COMMAND "${BIN2}" --profile "${WORK_DIR}/fig10.profile.json"
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "fig10_pagefault_scaling --profile failed (exit ${rc})")
+  endif()
+  file(SHA256 "${WORK_DIR}/fig10.profile.json" actual)
+  file(STRINGS "${GOLDEN_DIR}/profile.sha256" line
+       REGEX "  fig10_pagefault_scaling\\.profile\\.json$")
+  string(SUBSTRING "${line}" 0 64 expected)
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR "golden mismatch (fig10 scale=0.01 pvm.profile.v1 export): "
+                        "SHA-256 ${actual}, expected '${expected}'")
+  endif()
+  message(STATUS "byte-identical: fig10 scale=0.01 pvm.profile.v1 export")
 
 elseif(CASE STREQUAL "fleet")
   # pvm.fleet.v1 byte identity: a 1.2k-launch flashcrowd (ept vs pvm, the
