@@ -1,6 +1,7 @@
 #include "src/obs/prof.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "src/obs/json.h"
 #include "src/obs/json_parse.h"
 #include "src/obs/span.h"
+#include "src/sim/flat_map.h"
 
 namespace pvm::prof {
 
@@ -46,18 +48,41 @@ std::uint64_t as_u64(const obs::JsonValue& v) {
 
 std::int64_t as_i64(const obs::JsonValue& v) { return static_cast<std::int64_t>(v.number); }
 
-// One reconstructed span-tree node. Children are indices into the fold's
-// node arena, in chronological (open-order) sequence.
+// Interned phase paths. A path component is a Phase index, or kPhaseCount +
+// lock index for a lock wait whose lock-track mirror record names its
+// resource; a path is (parent path id, component), kNoPath for an op root.
+constexpr std::uint32_t kNoPath = ~std::uint32_t{0};
+constexpr std::uint32_t kNoInstance = ~std::uint32_t{0};
+
+obs::Phase component_phase(std::uint32_t component) {
+  return component < obs::kPhaseCount ? static_cast<obs::Phase>(component)
+                                      : obs::Phase::kLockWait;
+}
+
+// One reconstructed span-tree node. Its children are
+// Fold::children[first_child, first_child + child_count), in chronological
+// (open-order) sequence.
 struct Node {
   obs::TimeNs begin = 0;
   obs::TimeNs end = 0;
   std::int64_t track = -1;
-  obs::Phase phase = obs::Phase::kCount;
-  // Resolved resource name for lock-wait spans (from the lock-track mirror
-  // record that follows the main record); empty otherwise.
-  std::string lock_name;
-  std::vector<std::size_t> children;
+  std::uint32_t component = 0;
+  std::uint32_t first_child = 0;
+  std::uint32_t child_count = 0;
 };
+
+struct IdentityHash {
+  std::uint64_t operator()(std::uint64_t key) const { return key; }
+};
+
+struct TrackHash {
+  std::uint64_t operator()(std::int64_t track) const { return static_cast<std::uint64_t>(track); }
+};
+
+void add_stat(PathStat* into, const PathStat& stat) {
+  into->exclusive_ns += stat.exclusive_ns;
+  into->count += stat.count;
+}
 
 // The "worse worst-instance" total order used on merge: larger latency wins;
 // ties prefer the earlier begin, then the smaller track. Total, so merging
@@ -73,25 +98,45 @@ bool worst_worse(const OpProfile& a, const OpProfile& b) {
 }
 
 // State of the fold: the node arena, migration-op intervals for cross-track
-// attribution, and per-op-kind accumulation of instances.
+// attribution, the interned path table, and the op instances with their
+// per-path contributions. Nothing here is keyed by string: names are
+// rendered once per distinct path after the walk.
 struct Fold {
   std::vector<Node> nodes;
+  std::vector<std::uint32_t> children;
   // [begin, end) of every kOpMigration span, any track.
   std::vector<std::pair<obs::TimeNs, obs::TimeNs>> migration_intervals;
+  // Resource name per lock index (track - kLockTrackBase).
+  std::vector<std::string_view> lock_names;
+
+  struct PathEntry {
+    std::uint32_t parent;
+    std::uint32_t component;
+  };
+  std::vector<PathEntry> path_table;
+  // (parent << 32 | component) -> path id.
+  FlatMap<std::uint64_t, std::uint32_t, IdentityHash> path_ids;
 
   struct Instance {
     std::uint64_t latency = 0;
     obs::TimeNs begin = 0;
     std::int64_t track = -1;
-    // (path, exclusive_ns) contributions of this instance, in visit order.
-    std::vector<std::pair<std::string, std::uint64_t>> contributions;
+    obs::Phase phase = obs::Phase::kCount;
   };
-  // Op phase name -> instances in close order (close order is deterministic).
-  std::map<std::string, std::vector<Instance>, std::less<>> instances;
-  // Cross-track contributions redirected into the migration op: path ->
-  // (exclusive_ns, count). Not bound to one instance, so they join paths but
-  // never tail_paths or the latency histogram.
-  std::map<std::string, PathStat> migration_redirect;
+  // Op instances in open order; close_order lists them in close order
+  // (close order is deterministic, and worst-instance ties keep the first).
+  std::vector<Instance> instances;
+  std::vector<std::uint32_t> close_order;
+  struct Contribution {
+    std::uint32_t instance;
+    std::uint32_t path;
+    std::uint64_t exclusive_ns;
+  };
+  std::vector<Contribution> contributions;
+  // Cross-track contributions redirected into the migration op, by path id.
+  // Not bound to one instance, so they join paths but never tail_paths or
+  // the latency histogram.
+  std::vector<PathStat> migration_redirect;
 
   bool in_migration_interval(obs::TimeNs t) const {
     for (const auto& [begin, end] : migration_intervals) {
@@ -102,76 +147,98 @@ struct Fold {
     return false;
   }
 
-  std::uint64_t subtree_child_ns(const Node& node) const {
+  std::uint64_t exclusive_ns(const Node& node) const {
     std::uint64_t child_ns = 0;
-    for (std::size_t child : node.children) {
-      child_ns += nodes[child].end - nodes[child].begin;
+    for (std::uint32_t i = 0; i < node.child_count; ++i) {
+      const Node& child = nodes[children[node.first_child + i]];
+      child_ns += child.end - child.begin;
     }
-    return child_ns;
+    const std::uint64_t total = node.end - node.begin;
+    return total > child_ns ? total - child_ns : 0;
   }
 
-  std::string component(const Node& node) const {
-    if (node.phase == obs::Phase::kLockWait && !node.lock_name.empty()) {
-      return "lock_wait:" + node.lock_name;
+  std::uint32_t intern(std::uint32_t parent, std::uint32_t component) {
+    const std::uint64_t key = (std::uint64_t{parent} << 32) | component;
+    const auto next = static_cast<std::uint32_t>(path_table.size());
+    const auto [id, inserted] = path_ids.try_emplace(key, next);
+    if (inserted) {
+      path_table.push_back(PathEntry{parent, component});
     }
-    return std::string(obs::phase_name(node.phase));
+    return *id;
+  }
+
+  std::uint32_t root_component(std::uint32_t path) const {
+    while (path_table[path].parent != kNoPath) {
+      path = path_table[path].parent;
+    }
+    return path_table[path].component;
+  }
+
+  // "op.page_fault;spt_fill;lock_wait:mmu_lock"; `names` memoizes by id.
+  const std::string& path_name(std::uint32_t path, std::vector<std::string>* names) const {
+    std::string& name = (*names)[path];
+    if (name.empty()) {
+      const PathEntry& entry = path_table[path];
+      if (entry.parent != kNoPath) {
+        name = path_name(entry.parent, names);
+        name += ';';
+      }
+      if (entry.component < obs::kPhaseCount) {
+        name += obs::phase_name(component_phase(entry.component));
+      } else {
+        name += "lock_wait:";
+        name += lock_names[entry.component - obs::kPhaseCount];
+      }
+    }
+    return name;
   }
 
   // Accumulates `node`'s subtree into the migration op under
   // "op.migration;dirty_track;..." (the cross-track redirect).
-  void redirect_subtree(std::size_t index, const std::string& path) {
+  void redirect_subtree(std::uint32_t index, std::uint32_t path) {
     const Node& node = nodes[index];
-    const std::uint64_t total = node.end - node.begin;
-    const std::uint64_t child_ns = subtree_child_ns(node);
-    PathStat& stat = migration_redirect[path];
-    stat.exclusive_ns += total > child_ns ? total - child_ns : 0;
-    ++stat.count;
-    for (std::size_t child : node.children) {
-      redirect_subtree(child, path + ";" + component(nodes[child]));
+    if (migration_redirect.size() <= path) {
+      migration_redirect.resize(path + 1);
+    }
+    add_stat(&migration_redirect[path], PathStat{exclusive_ns(node), 1});
+    for (std::uint32_t i = 0; i < node.child_count; ++i) {
+      const std::uint32_t child = children[node.first_child + i];
+      redirect_subtree(child, intern(path, nodes[child].component));
     }
   }
 
-  // Walks `node` with the nearest enclosing op instance (or none). `path` is
-  // the instance-relative phase path ("op.page_fault;spt_fill;...").
-  void visit(std::size_t index, Instance* op, bool op_is_migration,
-             const std::string& path) {
+  // Walks `node` with the nearest enclosing op instance (or kNoInstance).
+  // `path` is the instance-relative phase path id.
+  void visit(std::uint32_t index, std::uint32_t instance, bool op_is_migration,
+             std::uint32_t path) {
     const Node& node = nodes[index];
+    const obs::Phase phase = component_phase(node.component);
     // A dirty-tracking span paid by a non-migration track while a migration
     // op is in flight is the migration's cost: redirect the whole subtree.
-    if (node.phase == obs::Phase::kDirtyTrack && !op_is_migration &&
+    if (phase == obs::Phase::kDirtyTrack && !op_is_migration &&
         in_migration_interval(node.begin)) {
-      redirect_subtree(index,
-                       std::string(obs::phase_name(obs::Phase::kOpMigration)) +
-                           ";" + component(node));
+      const auto migration = static_cast<std::uint32_t>(obs::Phase::kOpMigration);
+      redirect_subtree(index, intern(intern(kNoPath, migration), node.component));
       return;
     }
-    Instance local;
-    Instance* current = op;
-    std::string current_path = path;
-    bool current_is_migration = op_is_migration;
-    if (obs::phase_is_op(node.phase)) {
+    const bool is_op = obs::phase_is_op(phase);
+    if (is_op) {
       // A new op instance: path restarts at the op root.
-      local.latency = node.end - node.begin;
-      local.begin = node.begin;
-      local.track = node.track;
-      current = &local;
-      current_path = component(node);
-      current_is_migration = node.phase == obs::Phase::kOpMigration;
-    } else if (current != nullptr) {
-      current_path = path + ";" + component(node);
+      instance = static_cast<std::uint32_t>(instances.size());
+      instances.push_back(Instance{node.end - node.begin, node.begin, node.track, phase});
+      path = intern(kNoPath, node.component);
+      op_is_migration = phase == obs::Phase::kOpMigration;
+    } else if (instance != kNoInstance) {
+      path = intern(path, node.component);
     }
-    std::uint64_t child_ns = 0;
-    for (std::size_t child : node.children) {
-      child_ns += nodes[child].end - nodes[child].begin;
-      visit(child, current, current_is_migration, current_path);
+    for (std::uint32_t i = 0; i < node.child_count; ++i) {
+      visit(children[node.first_child + i], instance, op_is_migration, path);
     }
-    if (current != nullptr) {
-      const std::uint64_t total = node.end - node.begin;
-      current->contributions.emplace_back(
-          current_path, total > child_ns ? total - child_ns : 0);
+    if (instance != kNoInstance) {
+      contributions.push_back(Contribution{instance, path, exclusive_ns(node)});
     }
-    if (current == &local) {
-      instances[std::string(obs::phase_name(node.phase))].push_back(std::move(local));
+    if (is_op) {
+      close_order.push_back(instance);
     }
   }
 };
@@ -186,53 +253,64 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
     return doc;
   }
 
-  // Invert lock_tracks() so a lock-track mirror record resolves to its
-  // resource name.
-  std::map<std::int64_t, std::string_view> track_names;
+  Fold fold;
+  // Lock tracks are dense ids from kLockTrackBase in first-use order, so a
+  // lock-track mirror record's track indexes its resource name.
+  fold.lock_names.resize(recorder.lock_tracks().size());
   for (const auto& [name, track] : recorder.lock_tracks()) {
-    track_names.emplace(track, name);
+    const auto lock = static_cast<std::size_t>(track - obs::SpanRecorder::kLockTrackBase);
+    if (lock < fold.lock_names.size()) {
+      fold.lock_names[lock] = name;
+    }
   }
 
-  Fold fold;
   // Rebuild one tree forest per main track from the close-ordered record
   // stream: a record at depth d adopts the trailing pending subtrees at depth
   // d+1 that began after it (they closed earlier and nest inside it).
-  std::map<std::int64_t, std::vector<std::size_t>> pending;  // completed roots-so-far
-  std::vector<std::size_t> roots;                            // depth-0 nodes, close order
+  fold.nodes.reserve(records.size() - first_span);
+  FlatMap<std::int64_t, std::uint32_t, TrackHash> track_slots;
+  std::vector<std::vector<std::uint32_t>> pending;  // per track slot: completed roots-so-far
+  std::int64_t last_track = 0;
+  std::uint32_t last_slot = 0;
+  std::vector<std::uint32_t> roots;  // depth-0 nodes, close order
   for (std::size_t i = first_span; i < records.size(); ++i) {
     const obs::SpanRecord& record = records[i];
     if (record.track >= obs::SpanRecorder::kLockTrackBase) {
       continue;  // lock-track mirror; consumed via adjacency below
     }
-    Node node;
-    node.begin = record.begin_ns;
-    node.end = record.end_ns;
-    node.track = record.track;
-    node.phase = record.phase;
+    auto component = static_cast<std::uint32_t>(record.phase);
     if (record.phase == obs::Phase::kLockWait && i + 1 < records.size() &&
         records[i + 1].track >= obs::SpanRecorder::kLockTrackBase &&
         records[i + 1].begin_ns == record.begin_ns &&
         records[i + 1].end_ns == record.end_ns) {
-      const auto it = track_names.find(records[i + 1].track);
-      if (it != track_names.end()) {
-        node.lock_name = it->second;
+      const auto lock = static_cast<std::size_t>(records[i + 1].track -
+                                                 obs::SpanRecorder::kLockTrackBase);
+      if (lock < fold.lock_names.size() && !fold.lock_names[lock].empty()) {
+        component = static_cast<std::uint32_t>(obs::kPhaseCount + lock);
       }
     }
-    std::vector<std::size_t>& stack = pending[record.track];
-    std::size_t adopted = 0;
-    while (adopted < stack.size()) {
-      const Node& candidate = fold.nodes[stack[stack.size() - 1 - adopted]];
-      if (candidate.begin < record.begin_ns) {
-        break;
+    if (pending.empty() || record.track != last_track) {
+      const auto next = static_cast<std::uint32_t>(pending.size());
+      last_slot = *track_slots.try_emplace(record.track, next).first;
+      last_track = record.track;
+      if (last_slot == next) {
+        pending.emplace_back();
       }
+    }
+    std::vector<std::uint32_t>& stack = pending[last_slot];
+    std::size_t adopted = 0;
+    while (adopted < stack.size() &&
+           fold.nodes[stack[stack.size() - 1 - adopted]].begin >= record.begin_ns) {
       ++adopted;
     }
+    const auto index = static_cast<std::uint32_t>(fold.nodes.size());
+    fold.nodes.push_back(Node{record.begin_ns, record.end_ns, record.track, component,
+                              static_cast<std::uint32_t>(fold.children.size()),
+                              static_cast<std::uint32_t>(adopted)});
     // The adopted tail is in close order = reverse chronological open order.
-    node.children.assign(stack.end() - static_cast<std::ptrdiff_t>(adopted), stack.end());
-    std::reverse(node.children.begin(), node.children.end());
+    fold.children.insert(fold.children.end(), stack.rbegin(),
+                         stack.rbegin() + static_cast<std::ptrdiff_t>(adopted));
     stack.resize(stack.size() - adopted);
-    const std::size_t index = fold.nodes.size();
-    fold.nodes.push_back(std::move(node));
     if (record.depth == 0) {
       roots.push_back(index);
     } else {
@@ -243,53 +321,77 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
     }
   }
   // Spans still pending at depth > 0 have no enclosing record (their parent
-  // never closed); treat them as roots so their time is not lost.
-  for (const auto& [track, stack] : pending) {
-    roots.insert(roots.end(), stack.begin(), stack.end());
-  }
-
-  for (std::size_t root : roots) {
-    fold.visit(root, /*op=*/nullptr, /*op_is_migration=*/false, /*path=*/{});
-  }
-
-  // Aggregate instances per op kind: latency histogram, path sums, then the
-  // tail cohort cut at this fold's bucketed p99.
-  for (auto& [op_name, instances] : fold.instances) {
-    OpProfile& profile = doc.ops[op_name];
-    for (const Fold::Instance& instance : instances) {
-      profile.latency.record(instance.latency);
-      for (const auto& [path, exclusive] : instance.contributions) {
-        PathStat& stat = profile.paths[path];
-        stat.exclusive_ns += exclusive;
-        ++stat.count;
-      }
-      if (instance.latency > profile.worst_ns ||
-          (profile.worst_track < 0 && profile.latency.count() == 1)) {
-        profile.worst_ns = instance.latency;
-        profile.worst_begin_ns = instance.begin;
-        profile.worst_track = instance.track;
-      }
+  // never closed); treat them as roots, in track order, so their time is not
+  // lost.
+  std::vector<std::pair<std::int64_t, std::uint32_t>> leftover;
+  track_slots.for_each([&](std::int64_t track, std::uint32_t slot) {
+    if (!pending[slot].empty()) {
+      leftover.emplace_back(track, slot);
     }
-    profile.tail_threshold_ns = profile.latency.quantile(0.99);
-    for (const Fold::Instance& instance : instances) {
-      if (instance.latency < profile.tail_threshold_ns) {
-        continue;
-      }
-      for (const auto& [path, exclusive] : instance.contributions) {
-        PathStat& stat = profile.tail_paths[path];
-        stat.exclusive_ns += exclusive;
-        ++stat.count;
-      }
+  });
+  std::sort(leftover.begin(), leftover.end());
+  for (const auto& [track, slot] : leftover) {
+    roots.insert(roots.end(), pending[slot].begin(), pending[slot].end());
+  }
+
+  for (std::uint32_t root : roots) {
+    fold.visit(root, kNoInstance, /*op_is_migration=*/false, kNoPath);
+  }
+
+  // Aggregate instances per op kind, in close order: latency histogram and
+  // worst instance, then the tail cohort cut at this fold's bucketed p99.
+  std::array<OpProfile*, obs::kPhaseCount> profiles{};
+  for (std::uint32_t id : fold.close_order) {
+    const Fold::Instance& instance = fold.instances[id];
+    OpProfile*& profile = profiles[static_cast<std::size_t>(instance.phase)];
+    if (profile == nullptr) {
+      profile = &doc.ops[std::string(obs::phase_name(instance.phase))];
+    }
+    profile->latency.record(instance.latency);
+    if (instance.latency > profile->worst_ns ||
+        (profile->worst_track < 0 && profile->latency.count() == 1)) {
+      profile->worst_ns = instance.latency;
+      profile->worst_begin_ns = instance.begin;
+      profile->worst_track = instance.track;
+    }
+  }
+  for (OpProfile* profile : profiles) {
+    if (profile != nullptr) {
+      profile->tail_threshold_ns = profile->latency.quantile(0.99);
+    }
+  }
+  std::vector<PathStat> paths(fold.path_table.size());
+  std::vector<PathStat> tail_paths(fold.path_table.size());
+  for (const Fold::Contribution& c : fold.contributions) {
+    const PathStat stat{c.exclusive_ns, 1};
+    add_stat(&paths[c.path], stat);
+    const Fold::Instance& instance = fold.instances[c.instance];
+    if (instance.latency >= profiles[static_cast<std::size_t>(instance.phase)]->tail_threshold_ns) {
+      add_stat(&tail_paths[c.path], stat);
+    }
+  }
+
+  // Render each used path once; its root component names its op.
+  std::vector<std::string> names(fold.path_table.size());
+  for (std::uint32_t id = 0; id < paths.size(); ++id) {
+    if (paths[id].count == 0) {
+      continue;
+    }
+    OpProfile& profile = *profiles[fold.root_component(id)];
+    const std::string& name = fold.path_name(id, &names);
+    add_stat(&profile.paths[name], paths[id]);
+    if (tail_paths[id].count != 0) {
+      add_stat(&profile.tail_paths[name], tail_paths[id]);
     }
   }
   // Cross-track redirects land on the migration op even when the folding
   // recorder never saw the migration root itself.
   if (!fold.migration_redirect.empty()) {
     OpProfile& profile = doc.ops[std::string(obs::phase_name(obs::Phase::kOpMigration))];
-    for (const auto& [path, stat] : fold.migration_redirect) {
-      PathStat& into = profile.paths[path];
-      into.exclusive_ns += stat.exclusive_ns;
-      into.count += stat.count;
+    for (std::uint32_t id = 0; id < fold.migration_redirect.size(); ++id) {
+      if (fold.migration_redirect[id].count != 0) {
+        add_stat(&profile.paths[fold.path_name(id, &names)], fold.migration_redirect[id]);
+      }
     }
   }
   return doc;
@@ -306,14 +408,10 @@ bool merge_profile(ProfDoc* into, const ProfDoc& from, std::string* error) {
     OpProfile& dst = it->second;
     dst.latency.merge(profile.latency);
     for (const auto& [path, stat] : profile.paths) {
-      PathStat& d = dst.paths[path];
-      d.exclusive_ns += stat.exclusive_ns;
-      d.count += stat.count;
+      add_stat(&dst.paths[path], stat);
     }
     for (const auto& [path, stat] : profile.tail_paths) {
-      PathStat& d = dst.tail_paths[path];
-      d.exclusive_ns += stat.exclusive_ns;
-      d.count += stat.count;
+      add_stat(&dst.tail_paths[path], stat);
     }
     dst.tail_threshold_ns = std::max(dst.tail_threshold_ns, profile.tail_threshold_ns);
     if (worst_worse(profile, dst)) {
