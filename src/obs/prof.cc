@@ -66,6 +66,7 @@ struct Node {
   obs::TimeNs begin = 0;
   obs::TimeNs end = 0;
   std::int64_t track = -1;
+  std::uint32_t depth = 0;
   std::uint32_t component = 0;
   std::uint32_t first_child = 0;
   std::uint32_t child_count = 0;
@@ -265,8 +266,10 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
   }
 
   // Rebuild one tree forest per main track from the close-ordered record
-  // stream: a record at depth d adopts the trailing pending subtrees at depth
-  // d+1 that began after it (they closed earlier and nest inside it).
+  // stream: a record at depth d adopts the trailing pending subtrees deeper
+  // than d (they closed earlier and nest inside it). Depth, not begin time,
+  // decides: a zero-length span closed just before a sibling that opens at
+  // the same instant stays that sibling's sibling.
   fold.nodes.reserve(records.size() - first_span);
   FlatMap<std::int64_t, std::uint32_t, TrackHash> track_slots;
   std::vector<std::vector<std::uint32_t>> pending;  // per track slot: completed roots-so-far
@@ -300,11 +303,12 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
     std::vector<std::uint32_t>& stack = pending[last_slot];
     std::size_t adopted = 0;
     while (adopted < stack.size() &&
-           fold.nodes[stack[stack.size() - 1 - adopted]].begin >= record.begin_ns) {
+           fold.nodes[stack[stack.size() - 1 - adopted]].depth > record.depth) {
       ++adopted;
     }
     const auto index = static_cast<std::uint32_t>(fold.nodes.size());
-    fold.nodes.push_back(Node{record.begin_ns, record.end_ns, record.track, component,
+    fold.nodes.push_back(Node{record.begin_ns, record.end_ns, record.track, record.depth,
+                              component,
                               static_cast<std::uint32_t>(fold.children.size()),
                               static_cast<std::uint32_t>(adopted)});
     // The adopted tail is in close order = reverse chronological open order.

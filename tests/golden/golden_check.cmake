@@ -173,7 +173,7 @@ elseif(CASE STREQUAL "simcheck")
 elseif(CASE STREQUAL "profile")
   # The critical-path fold (src/obs/prof.cc) feeds every --profile export:
   # the matrix cells cover named lock waits, the op.migration;dirty_track
-  # cross-track redirect and nested zaps; fig10 covers 180 ops at scale.
+  # cross-track redirect and back-to-back zaps; fig10 covers 180 ops.
   execute_process(COMMAND "${BIN}" --modes pvm,kvm-spt --workloads pagefault,migration
                           --profile "${WORK_DIR}/matrix_profile.json" --out /dev/null
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)

@@ -73,6 +73,36 @@ TEST(ProfFold, DecomposesExclusiveTimePerPath) {
   EXPECT_EQ(pf.worst_track, 0);
 }
 
+TEST(ProfFold, ZeroLengthSiblingsStaySiblings) {
+  Rig rig;
+  // op.gpt_store [0, 100): gpt_emulate [10, 90) runs two zaps back to back,
+  // the first zero-length at t=20 and the second [20, 50). Both zaps are
+  // children of gpt_emulate; the second began when the first closed, but
+  // it never enclosed it.
+  auto op = rig.begin(Phase::kOpGptStore);
+  rig.now = 10;
+  auto emulate = rig.begin(Phase::kGptEmulate);
+  rig.now = 20;
+  auto empty_zap = rig.begin(Phase::kZap);
+  rig.end(empty_zap);
+  auto zap = rig.begin(Phase::kZap);
+  rig.now = 50;
+  rig.end(zap);
+  rig.now = 90;
+  rig.end(emulate);
+  rig.now = 100;
+  rig.end(op);
+
+  const prof::ProfDoc doc = prof::fold_profile(rig.rec);
+  const prof::OpProfile& pf = only_op(doc, "op.gpt_store");
+  EXPECT_FALSE(pf.paths.contains("op.gpt_store;gpt_emulate;zap;zap"));
+  ASSERT_TRUE(pf.paths.contains("op.gpt_store;gpt_emulate;zap"));
+  EXPECT_EQ(pf.paths.at("op.gpt_store;gpt_emulate;zap").count, 2u);
+  EXPECT_EQ(pf.paths.at("op.gpt_store;gpt_emulate;zap").exclusive_ns, 30u);
+  EXPECT_EQ(pf.paths.at("op.gpt_store;gpt_emulate").exclusive_ns, 50u);
+  EXPECT_EQ(pf.paths.at("op.gpt_store").exclusive_ns, 20u);
+}
+
 TEST(ProfFold, NamesLockWaitsViaMirrorRecords) {
   Rig rig;
   auto op = rig.begin(Phase::kOpSyscall);
