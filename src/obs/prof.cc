@@ -60,8 +60,8 @@ obs::Phase component_phase(std::uint32_t component) {
 }
 
 // One reconstructed span-tree node. Its children are
-// Fold::children[first_child, first_child + child_count), in chronological
-// (open-order) sequence.
+// Fold::children[first_child, first_child + child_count), latest-opened
+// first.
 struct Node {
   obs::TimeNs begin = 0;
   obs::TimeNs end = 0;
@@ -124,8 +124,8 @@ struct Fold {
     std::int64_t track = -1;
     obs::Phase phase = obs::Phase::kCount;
   };
-  // Op instances in open order; close_order lists them in close order
-  // (close order is deterministic, and worst-instance ties keep the first).
+  // Op instances in walk pre-order; close_order lists them in walk
+  // post-order, the order worst-instance ties are broken in (first wins).
   std::vector<Instance> instances;
   std::vector<std::uint32_t> close_order;
   struct Contribution {
@@ -311,7 +311,8 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
                               component,
                               static_cast<std::uint32_t>(fold.children.size()),
                               static_cast<std::uint32_t>(adopted)});
-    // The adopted tail is in close order = reverse chronological open order.
+    // The adopted tail is in close order, which for siblings is also open
+    // order; it is stored reversed, so the walk visits later siblings first.
     fold.children.insert(fold.children.end(), stack.rbegin(),
                          stack.rbegin() + static_cast<std::ptrdiff_t>(adopted));
     stack.resize(stack.size() - adopted);
@@ -342,7 +343,7 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
     fold.visit(root, kNoInstance, /*op_is_migration=*/false, kNoPath);
   }
 
-  // Aggregate instances per op kind, in close order: latency histogram and
+  // Aggregate instances per op kind, in post-order: latency histogram and
   // worst instance, then the tail cohort cut at this fold's bucketed p99.
   std::array<OpProfile*, obs::kPhaseCount> profiles{};
   for (std::uint32_t id : fold.close_order) {

@@ -2,8 +2,14 @@
 // streams, lock-wait naming, cross-track migration attribution, the tail
 // cohort, merge order-independence, and render/parse round-trip identity.
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <random>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +107,35 @@ TEST(ProfFold, ZeroLengthSiblingsStaySiblings) {
   EXPECT_EQ(pf.paths.at("op.gpt_store;gpt_emulate;zap").exclusive_ns, 30u);
   EXPECT_EQ(pf.paths.at("op.gpt_store;gpt_emulate").exclusive_ns, 50u);
   EXPECT_EQ(pf.paths.at("op.gpt_store").exclusive_ns, 20u);
+}
+
+TEST(ProfFold, OrphansOfUnclosedSpansFoldInTrackOrder) {
+  Rig rig;
+  // Tracks 2 and 1 each leave an spt_fill open; inside each, one 10 ns
+  // fault closes, track 2's first. Orphaned subtrees are walked by track, so
+  // the tie for worst instance goes to track 1's fault.
+  rig.root = 2;
+  auto open2 = rig.begin(Phase::kSptFill);
+  rig.root = 1;
+  auto open1 = rig.begin(Phase::kSptFill);
+  rig.root = 2;
+  rig.now = 10;
+  auto fault2 = rig.begin(Phase::kOpPageFault);
+  rig.now = 20;
+  rig.end(fault2);
+  rig.root = 1;
+  rig.now = 30;
+  auto fault1 = rig.begin(Phase::kOpPageFault);
+  rig.now = 40;
+  rig.end(fault1);
+  EXPECT_TRUE(open2.valid() && open1.valid());
+
+  const prof::ProfDoc doc = prof::fold_profile(rig.rec);
+  const prof::OpProfile& pf = only_op(doc, "op.page_fault");
+  EXPECT_EQ(pf.latency.count(), 2u);
+  EXPECT_EQ(pf.worst_ns, 10u);
+  EXPECT_EQ(pf.worst_track, 1);
+  EXPECT_EQ(pf.worst_begin_ns, 30u);
 }
 
 TEST(ProfFold, NamesLockWaitsViaMirrorRecords) {
@@ -230,6 +265,386 @@ TEST(ProfFold, FirstSpanOffsetFoldsOnlyTheIncrement) {
   const prof::ProfDoc full_doc = prof::fold_profile(rig.rec);
   const prof::OpProfile& full = only_op(full_doc, "op.syscall");
   EXPECT_EQ(full.latency.count(), 2u);
+}
+
+// ---- Property: the fold agrees with the generator's own trees -------------
+//
+// Random span forests on several tracks are replayed through a SpanRecorder;
+// the reference profile is computed from the generated trees (parent, depth
+// and children known by construction), never from the record stream.
+
+// One generated span. Times are absolute virtual ns.
+struct GenSpan {
+  Phase phase = Phase::kCount;
+  std::string lock;  // lock waits: resource name; empty = anonymous wait
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::int64_t track = 0;
+  std::uint32_t depth = 0;
+  int run = 0;
+  std::size_t parent = SIZE_MAX;
+  std::vector<std::size_t> children;
+  // Set by the replay.
+  SpanRecorder::Token token;
+  bool closed = false;
+  std::uint64_t close_seq = 0;
+  bool kept = false;         // its record fit under the raw-span cap
+  bool mirror_kept = false;  // and so did its lock-track mirror record
+};
+
+struct GenEvent {
+  std::uint64_t time;
+  std::int64_t track;
+  std::size_t seq;  // order within the track
+  std::size_t span;
+  bool open;
+};
+
+class ForestGen {
+ public:
+  explicit ForestGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<GenSpan> spans;
+
+  // One run: a few trees per track from `start`. With `truncate`, most
+  // tracks stop partway through their last tree, leaving spans open.
+  std::vector<GenEvent> add_run(int run, const std::vector<std::int64_t>& tracks,
+                                std::uint64_t start, bool truncate, std::uint64_t* run_end) {
+    std::vector<GenEvent> events;
+    *run_end = start;
+    for (std::int64_t track : tracks) {
+      std::vector<GenEvent> track_events;
+      std::uint64_t t = start + below(5);
+      std::size_t last_root = 0;
+      const std::uint64_t roots = 2 + below(4);
+      for (std::uint64_t r = 0; r < roots; ++r) {
+        last_root = track_events.size();
+        t = grow(&track_events, run, track, SIZE_MAX, 0, t) + below(6);
+      }
+      if (truncate && chance(70)) {
+        // Keeps the last root's open and drops at least its close.
+        track_events.resize(last_root + 1 + below(track_events.size() - last_root - 1));
+      }
+      for (std::size_t i = 0; i < track_events.size(); ++i) {
+        track_events[i].seq = i;
+        events.push_back(track_events[i]);
+      }
+      *run_end = std::max(*run_end, t);
+    }
+    std::sort(events.begin(), events.end(), [](const GenEvent& a, const GenEvent& b) {
+      return std::tie(a.time, a.track, a.seq) < std::tie(b.time, b.track, b.seq);
+    });
+    return events;
+  }
+
+  std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+  bool chance(std::uint64_t percent) { return below(100) < percent; }
+
+ private:
+  Phase pick_phase(std::int64_t track, std::uint32_t depth) {
+    static constexpr Phase kOps[] = {Phase::kOpPageFault, Phase::kOpSyscall,
+                                     Phase::kOpGptStore, Phase::kOpMigration};
+    static constexpr Phase kSteps[] = {Phase::kZap,        Phase::kGptEmulate,
+                                       Phase::kSptFill,    Phase::kLockWait,
+                                       Phase::kLockWait,   Phase::kDirtyTrack,
+                                       Phase::kDirtyTrack, Phase::kDirectSwitch};
+    if (track == 0 && depth == 0 && chance(50)) {
+      return Phase::kOpMigration;  // long migrations that other tracks overlap
+    }
+    if (chance(depth == 0 ? 60 : 15)) {
+      return kOps[below(depth == 0 ? 3 : 4)];
+    }
+    return kSteps[below(std::size(kSteps))];
+  }
+
+  std::uint64_t grow(std::vector<GenEvent>* out, int run, std::int64_t track,
+                     std::size_t parent, std::uint32_t depth, std::uint64_t t) {
+    static constexpr const char* kLocks[] = {"mmu_lock", "pt_lock", "meta_lock"};
+    const std::size_t id = spans.size();
+    GenSpan span;
+    span.phase = pick_phase(track, depth);
+    if (span.phase == Phase::kLockWait && chance(60)) {
+      span.lock = kLocks[below(std::size(kLocks))];
+    }
+    span.begin = t;
+    span.track = track;
+    span.depth = depth;
+    span.run = run;
+    span.parent = parent;
+    spans.push_back(span);
+    out->push_back(GenEvent{t, track, 0, id, true});
+    if (!chance(20)) {  // otherwise a zero-length leaf
+      const std::uint64_t kids = depth < 4 ? below(4) : 0;
+      t += below(3);
+      for (std::uint64_t k = 0; k < kids; ++k) {
+        t += chance(40) ? 0 : below(4);  // 0: opens as its sibling closes
+        spans[id].children.push_back(spans.size());
+        t = grow(out, run, track, id, depth + 1, t);
+      }
+      t += below(5);
+    }
+    spans[id].end = t;
+    out->push_back(GenEvent{t, track, 0, id, false});
+    return t;
+  }
+
+  std::mt19937_64 rng_;
+};
+
+// Replays `events` through the rig, tracking what the recorder appends: one
+// record per close plus a mirror for a named lock wait, dropped once
+// `appended` reaches the cap.
+void replay(Rig* rig, std::vector<GenSpan>* spans, const std::vector<GenEvent>& events,
+            std::size_t cap, std::uint64_t* appended, std::uint64_t* seq) {
+  for (const GenEvent& event : events) {
+    GenSpan& span = (*spans)[event.span];
+    rig->now = event.time;
+    rig->root = event.track;
+    if (event.open) {
+      span.token = rig->begin(span.phase);
+      continue;
+    }
+    if (span.lock.empty()) {
+      rig->end(span.token);
+    } else {
+      rig->rec.end_lock_wait(span.token, span.lock);
+    }
+    span.closed = true;
+    span.close_seq = (*seq)++;
+    span.kept = (*appended)++ < cap;
+    if (!span.lock.empty()) {
+      span.mirror_kept = (*appended)++ < cap;
+    }
+  }
+}
+
+struct Coverage {
+  int zero_length_siblings = 0;
+  int named_lock_waits = 0;
+  int anonymous_lock_waits = 0;
+  int redirected_dirty = 0;
+  int unredirected_dirty = 0;
+  int nested_ops = 0;
+  int unclosed = 0;
+  int capped_runs = 0;
+};
+
+// The critical-path fold restated over the generated trees, with strings.
+struct ReferenceFold {
+  const std::vector<GenSpan>& spans;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> migrations;
+  Coverage* coverage;
+
+  struct Instance {
+    std::uint64_t latency = 0;
+    std::uint64_t begin = 0;
+    std::int64_t track = 0;
+    std::vector<std::pair<std::string, std::uint64_t>> contributions;
+  };
+  std::map<std::string, std::vector<Instance>> instances;
+  std::map<std::string, prof::PathStat> redirect;
+
+  std::string component(const GenSpan& span) const {
+    if (span.phase == Phase::kLockWait && !span.lock.empty() && span.mirror_kept) {
+      return "lock_wait:" + span.lock;
+    }
+    return std::string(obs::phase_name(span.phase));
+  }
+
+  std::uint64_t exclusive(const GenSpan& span) const {
+    std::uint64_t child_ns = 0;
+    for (std::size_t child : span.children) {
+      child_ns += spans[child].end - spans[child].begin;
+    }
+    const std::uint64_t total = span.end - span.begin;
+    return total > child_ns ? total - child_ns : 0;
+  }
+
+  bool in_migration(std::uint64_t t) const {
+    return std::any_of(migrations.begin(), migrations.end(),
+                       [t](const auto& m) { return t >= m.first && t < m.second; });
+  }
+
+  void redirect_subtree(std::size_t id, const std::string& path) {
+    prof::PathStat& stat = redirect[path];
+    stat.exclusive_ns += exclusive(spans[id]);
+    ++stat.count;
+    for (std::size_t child : spans[id].children) {
+      redirect_subtree(child, path + ";" + component(spans[child]));
+    }
+  }
+
+  void visit(std::size_t id, Instance* op, bool in_migration_op, const std::string& path) {
+    const GenSpan& span = spans[id];
+    if (span.phase == Phase::kDirtyTrack) {
+      if (!in_migration_op && in_migration(span.begin)) {
+        ++coverage->redirected_dirty;
+        redirect_subtree(id, "op.migration;" + component(span));
+        return;
+      }
+      ++coverage->unredirected_dirty;
+    }
+    Instance local;
+    Instance* current = op;
+    std::string current_path = path;
+    if (obs::phase_is_op(span.phase)) {
+      coverage->nested_ops += op != nullptr ? 1 : 0;
+      local = Instance{span.end - span.begin, span.begin, span.track, {}};
+      current = &local;
+      current_path = component(span);
+      in_migration_op = span.phase == Phase::kOpMigration;
+    } else if (current != nullptr) {
+      current_path += ";" + component(span);
+    }
+    // The fold walks a span's children latest-opened first; the post-order
+    // that yields decides which of two equally slow instances is worst.
+    for (auto child = span.children.rbegin(); child != span.children.rend(); ++child) {
+      visit(*child, current, in_migration_op, current_path);
+    }
+    if (current != nullptr) {
+      current->contributions.emplace_back(current_path, exclusive(span));
+    }
+    if (current == &local) {
+      instances[std::string(obs::phase_name(span.phase))].push_back(std::move(local));
+    }
+  }
+};
+
+// The profile of runs >= first_run. A span is visible to the fold when it
+// closed and its record fit under the cap. Depth-0 spans are roots in close
+// order; visible spans under an invisible (open or dropped) parent follow,
+// by track, then close order.
+prof::ProfDoc reference_profile(const std::vector<GenSpan>& spans, int first_run,
+                                std::uint64_t dropped, Coverage* coverage) {
+  const auto visible = [&](std::size_t id) {
+    return spans[id].run >= first_run && spans[id].closed && spans[id].kept;
+  };
+  ReferenceFold fold{spans, {}, coverage, {}, {}};
+  std::vector<std::size_t> roots;
+  std::vector<std::size_t> orphans;
+  for (std::size_t id = 0; id < spans.size(); ++id) {
+    if (!visible(id)) {
+      continue;
+    }
+    const GenSpan& span = spans[id];
+    if (span.phase == Phase::kOpMigration) {
+      fold.migrations.emplace_back(span.begin, span.end);
+    }
+    if (span.lock.empty() && span.phase == Phase::kLockWait) {
+      ++coverage->anonymous_lock_waits;
+    } else if (!span.lock.empty()) {
+      ++coverage->named_lock_waits;
+    }
+    if (span.depth == 0) {
+      roots.push_back(id);
+    } else if (!visible(span.parent)) {
+      orphans.push_back(id);
+    }
+  }
+  std::sort(roots.begin(), roots.end(), [&](std::size_t a, std::size_t b) {
+    return spans[a].close_seq < spans[b].close_seq;
+  });
+  std::sort(orphans.begin(), orphans.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(spans[a].track, spans[a].close_seq) <
+           std::tie(spans[b].track, spans[b].close_seq);
+  });
+  roots.insert(roots.end(), orphans.begin(), orphans.end());
+  for (std::size_t root : roots) {
+    fold.visit(root, nullptr, false, "");
+  }
+
+  prof::ProfDoc doc;
+  doc.dropped_spans = dropped;
+  for (const auto& [name, list] : fold.instances) {
+    prof::OpProfile& profile = doc.ops[name];
+    for (const ReferenceFold::Instance& instance : list) {
+      profile.latency.record(instance.latency);
+      for (const auto& [path, exclusive] : instance.contributions) {
+        profile.paths[path].exclusive_ns += exclusive;
+        ++profile.paths[path].count;
+      }
+      if (instance.latency > profile.worst_ns || profile.latency.count() == 1) {
+        profile.worst_ns = instance.latency;
+        profile.worst_begin_ns = instance.begin;
+        profile.worst_track = instance.track;
+      }
+    }
+    profile.tail_threshold_ns = profile.latency.quantile(0.99);
+    for (const ReferenceFold::Instance& instance : list) {
+      if (instance.latency < profile.tail_threshold_ns) {
+        continue;
+      }
+      for (const auto& [path, exclusive] : instance.contributions) {
+        profile.tail_paths[path].exclusive_ns += exclusive;
+        ++profile.tail_paths[path].count;
+      }
+    }
+  }
+  if (!fold.redirect.empty()) {
+    prof::OpProfile& profile = doc.ops["op.migration"];
+    for (const auto& [path, stat] : fold.redirect) {
+      profile.paths[path].exclusive_ns += stat.exclusive_ns;
+      profile.paths[path].count += stat.count;
+    }
+  }
+  return doc;
+}
+
+TEST(ProfFoldProperty, MatchesTheGeneratorsTrees) {
+  const std::vector<std::int64_t> tracks = {-1, 0, 1, 2, 5};
+  Coverage coverage;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    ForestGen gen(seed);
+    Rig rig;
+    std::size_t cap = SIZE_MAX;
+    if (gen.chance(35)) {
+      cap = 20 + gen.below(200);
+      rig.rec.set_max_spans(cap);
+      ++coverage.capped_runs;
+    }
+    std::uint64_t appended = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t end = 0;
+    // Run 0 closes every span; run 1 may leave some open. The recorder
+    // outlives both, so folding from the cut sees run 1 alone.
+    replay(&rig, &gen.spans, gen.add_run(0, tracks, 0, /*truncate=*/false, &end), cap,
+           &appended, &seq);
+    const std::size_t cut = rig.rec.spans().size();
+    replay(&rig, &gen.spans, gen.add_run(1, tracks, end + 10, /*truncate=*/true, &end), cap,
+           &appended, &seq);
+    const std::uint64_t dropped = appended > cap ? appended - cap : 0;
+
+    for (std::size_t i = 0; i < gen.spans.size(); ++i) {
+      const GenSpan& span = gen.spans[i];
+      coverage.unclosed += span.token.valid() && !span.closed ? 1 : 0;
+      if (span.begin == span.end && span.closed && span.parent != SIZE_MAX) {
+        const std::vector<std::size_t>& siblings = gen.spans[span.parent].children;
+        const auto it = std::find(siblings.begin(), siblings.end(), i);
+        coverage.zero_length_siblings +=
+            it + 1 != siblings.end() && gen.spans[*(it + 1)].begin == span.end ? 1 : 0;
+      }
+    }
+
+    const prof::ProfDoc full = prof::fold_profile(rig.rec);
+    const prof::ProfDoc full_expected = reference_profile(gen.spans, 0, dropped, &coverage);
+    const prof::ProfDoc tail = prof::fold_profile(rig.rec, cut);
+    const prof::ProfDoc tail_expected = reference_profile(gen.spans, 1, dropped, &coverage);
+    ASSERT_EQ(prof::render_profile_json(full), prof::render_profile_json(full_expected))
+        << "seed " << seed;
+    ASSERT_EQ(full, full_expected) << "seed " << seed;
+    ASSERT_EQ(prof::render_profile_json(tail), prof::render_profile_json(tail_expected))
+        << "seed " << seed << " from span " << cut;
+    ASSERT_EQ(tail, tail_expected) << "seed " << seed;
+  }
+  // The generator must have produced every shape the fold special-cases.
+  EXPECT_GT(coverage.zero_length_siblings, 100);
+  EXPECT_GT(coverage.named_lock_waits, 100);
+  EXPECT_GT(coverage.anonymous_lock_waits, 100);
+  EXPECT_GT(coverage.redirected_dirty, 100);
+  EXPECT_GT(coverage.unredirected_dirty, 100);
+  EXPECT_GT(coverage.nested_ops, 100);
+  EXPECT_GT(coverage.unclosed, 100);
+  EXPECT_GT(coverage.capped_runs, 50);
 }
 
 prof::ProfDoc sample_doc(std::uint64_t scale) {
