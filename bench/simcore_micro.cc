@@ -16,6 +16,7 @@
 #include "src/backends/platform.h"
 #include "src/core/spt_locks.h"
 #include "src/mmu/two_dim_walk.h"
+#include "src/obs/prof.h"
 #include "src/obs/span.h"
 #include "src/sim/random.h"
 
@@ -232,6 +233,52 @@ void BM_ResourceChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceChurn)->Arg(20000);
 
+// The fault protocol the BM_FullFaultProtocol* rows time. Construction is
+// the untimed setup: a pvm (NST) platform (seen by the bench hooks, which arm
+// --faults) with one booted container whose init process has a 64 MiB heap
+// VMA. `spans`, when given, records from before the boot.
+class FaultProtocol {
+ public:
+  explicit FaultProtocol(obs::SpanRecorder* spans = nullptr) : platform_(pvm_nst()) {
+    g_hooks.on_platform(platform_);
+    if (spans != nullptr) {
+      spans->set_enabled(true);
+      platform_.sim().set_spans(spans);
+    }
+    container_ = &platform_.create_container("c0");
+    platform_.sim().spawn(container_->boot(8));
+    platform_.sim().run();
+    proc_ = container_->init_process();
+    proc_->vmas()[GuestProcess::kHeapBase] = Vma{GuestProcess::kHeapBase, 64ull << 20, true};
+  }
+
+  // The timed part: first-touch writes to kPages fresh heap pages on vCPU 0.
+  void touch_pages() {
+    platform_.sim().spawn([](SecureContainer& cc, GuestProcess& p) -> Task<void> {
+      for (std::uint64_t i = 0; i < kPages; ++i) {
+        co_await cc.kernel().touch(cc.vcpu(0), p, GuestProcess::kHeapBase + i * kPageSize,
+                                   true);
+      }
+    }(*container_, *proc_));
+    platform_.sim().run();
+  }
+
+  VirtualPlatform& platform() { return platform_; }
+
+  static constexpr std::uint64_t kPages = 512;
+
+ private:
+  static PlatformConfig pvm_nst() {
+    PlatformConfig config;
+    config.mode = DeployMode::kPvmNst;
+    return config;
+  }
+
+  VirtualPlatform platform_;
+  SecureContainer* container_ = nullptr;
+  GuestProcess* proc_ = nullptr;
+};
+
 void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
   // static: google-benchmark may invoke the function several times while
   // calibrating the iteration count, and the export should hold exactly one
@@ -239,24 +286,9 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
   static bool captured = false;
   for (auto _ : state) {
     state.PauseTiming();
-    PlatformConfig config;
-    config.mode = DeployMode::kPvmNst;
-    VirtualPlatform platform(config);
-    g_hooks.on_platform(platform);
-    SecureContainer& c = platform.create_container("c0");
-    platform.sim().spawn(c.boot(8));
-    platform.sim().run();
-    GuestProcess& proc = *c.init_process();
-    proc.vmas()[GuestProcess::kHeapBase] = Vma{GuestProcess::kHeapBase, 64ull << 20, true};
+    FaultProtocol protocol;
     state.ResumeTiming();
-
-    platform.sim().spawn([](SecureContainer& cc, GuestProcess& p) -> Task<void> {
-      for (std::uint64_t i = 0; i < 512; ++i) {
-        co_await cc.kernel().touch(cc.vcpu(0), p, GuestProcess::kHeapBase + i * kPageSize,
-                                   true);
-      }
-    }(c, proc));
-    platform.sim().run();
+    protocol.touch_pages();
 
     if (!captured) {
       // One platform-backed capture per benchmark (outside the timed
@@ -266,13 +298,14 @@ void BM_FullFaultProtocolPvmNst(benchmark::State& state) {
       // Distinct label from the timing row google-benchmark reports: two
       // runs sharing one label would make label-keyed diffs (benchdiff)
       // ambiguous about which run carries which metrics.
+      VirtualPlatform& platform = protocol.platform();
       g_hooks.record("BM_FullFaultProtocolPvmNst_platform", platform.sim(),
                      platform.counters(), {{"pages_touched", 512.0}});
       captured = true;
       state.ResumeTiming();
     }
   }
-  state.SetItemsProcessed(state.iterations() * 512);
+  state.SetItemsProcessed(state.iterations() * FaultProtocol::kPages);
 }
 BENCHMARK(BM_FullFaultProtocolPvmNst);
 
@@ -283,32 +316,31 @@ BENCHMARK(BM_FullFaultProtocolPvmNst);
 void BM_FullFaultProtocolPvmNstObserved(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    PlatformConfig config;
-    config.mode = DeployMode::kPvmNst;
-    VirtualPlatform platform(config);
-    g_hooks.on_platform(platform);
     obs::SpanRecorder recorder;
-    recorder.set_enabled(true);
-    platform.sim().set_spans(&recorder);
-    SecureContainer& c = platform.create_container("c0");
-    platform.sim().spawn(c.boot(8));
-    platform.sim().run();
-    GuestProcess& proc = *c.init_process();
-    proc.vmas()[GuestProcess::kHeapBase] = Vma{GuestProcess::kHeapBase, 64ull << 20, true};
+    FaultProtocol protocol(&recorder);
     state.ResumeTiming();
-
-    platform.sim().spawn([](SecureContainer& cc, GuestProcess& p) -> Task<void> {
-      for (std::uint64_t i = 0; i < 512; ++i) {
-        co_await cc.kernel().touch(cc.vcpu(0), p, GuestProcess::kHeapBase + i * kPageSize,
-                                   true);
-      }
-    }(c, proc));
-    platform.sim().run();
+    protocol.touch_pages();
     benchmark::DoNotOptimize(recorder.spans().size());
   }
-  state.SetItemsProcessed(state.iterations() * 512);
+  state.SetItemsProcessed(state.iterations() * FaultProtocol::kPages);
 }
 BENCHMARK(BM_FullFaultProtocolPvmNstObserved);
+
+// The critical-path fold (prof::fold_profile) over the span records of one
+// observed fault protocol, recorded once outside the timed loop; items are
+// span records folded. --profile on every bench binary and pvm-matrix runs
+// this fold.
+void BM_ProfileFold(benchmark::State& state) {
+  obs::SpanRecorder recorder;
+  FaultProtocol protocol(&recorder);
+  protocol.touch_pages();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prof::fold_profile(recorder));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    recorder.spans().size()));
+}
+BENCHMARK(BM_ProfileFold);
 
 // Console reporter that also feeds each benchmark's wall-clock numbers into
 // the shared BenchExport, so `--json` emits the same pvm.bench.v1 schema as

@@ -72,12 +72,9 @@ struct Node {
   std::uint32_t child_count = 0;
 };
 
-struct IdentityHash {
+// FlatMap mixes the key bits itself; integer keys hash as themselves.
+struct IntHash {
   std::uint64_t operator()(std::uint64_t key) const { return key; }
-};
-
-struct TrackHash {
-  std::uint64_t operator()(std::int64_t track) const { return static_cast<std::uint64_t>(track); }
 };
 
 void add_stat(PathStat* into, const PathStat& stat) {
@@ -116,7 +113,7 @@ struct Fold {
   };
   std::vector<PathEntry> path_table;
   // (parent << 32 | component) -> path id.
-  FlatMap<std::uint64_t, std::uint32_t, IdentityHash> path_ids;
+  FlatMap<std::uint64_t, std::uint32_t, IntHash> path_ids;
 
   struct Instance {
     std::uint64_t latency = 0;
@@ -124,10 +121,10 @@ struct Fold {
     std::int64_t track = -1;
     obs::Phase phase = obs::Phase::kCount;
   };
-  // Op instances in walk pre-order; close_order lists them in walk
+  // Op instances in walk pre-order; post_order lists them in walk
   // post-order, the order worst-instance ties are broken in (first wins).
   std::vector<Instance> instances;
-  std::vector<std::uint32_t> close_order;
+  std::vector<std::uint32_t> post_order;
   struct Contribution {
     std::uint32_t instance;
     std::uint32_t path;
@@ -239,7 +236,7 @@ struct Fold {
       contributions.push_back(Contribution{instance, path, exclusive_ns(node)});
     }
     if (is_op) {
-      close_order.push_back(instance);
+      post_order.push_back(instance);
     }
   }
 };
@@ -271,7 +268,7 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
   // decides: a zero-length span closed just before a sibling that opens at
   // the same instant stays that sibling's sibling.
   fold.nodes.reserve(records.size() - first_span);
-  FlatMap<std::int64_t, std::uint32_t, TrackHash> track_slots;
+  FlatMap<std::int64_t, std::uint32_t, IntHash> track_slots;
   std::vector<std::vector<std::uint32_t>> pending;  // per track slot: completed roots-so-far
   std::int64_t last_track = 0;
   std::uint32_t last_slot = 0;
@@ -346,7 +343,7 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
   // Aggregate instances per op kind, in post-order: latency histogram and
   // worst instance, then the tail cohort cut at this fold's bucketed p99.
   std::array<OpProfile*, obs::kPhaseCount> profiles{};
-  for (std::uint32_t id : fold.close_order) {
+  for (std::uint32_t id : fold.post_order) {
     const Fold::Instance& instance = fold.instances[id];
     OpProfile*& profile = profiles[static_cast<std::size_t>(instance.phase)];
     if (profile == nullptr) {
@@ -371,7 +368,8 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
     const PathStat stat{c.exclusive_ns, 1};
     add_stat(&paths[c.path], stat);
     const Fold::Instance& instance = fold.instances[c.instance];
-    if (instance.latency >= profiles[static_cast<std::size_t>(instance.phase)]->tail_threshold_ns) {
+    const OpProfile& profile = *profiles[static_cast<std::size_t>(instance.phase)];
+    if (instance.latency >= profile.tail_threshold_ns) {
       add_stat(&tail_paths[c.path], stat);
     }
   }
