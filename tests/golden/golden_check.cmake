@@ -69,6 +69,20 @@ function(compare_or_die actual expected what)
   message(STATUS "byte-identical: ${what}")
 endfunction()
 
+# Compares the SHA-256 of `actual` with the line naming `file_name` in the
+# sha256sum-format list `sums`.
+function(compare_sha256_or_die actual sums file_name what)
+  file(SHA256 "${actual}" actual_sum)
+  string(REPLACE "." "\\." pattern "${file_name}")
+  file(STRINGS "${sums}" line REGEX "  ${pattern}$")
+  string(SUBSTRING "${line}" 0 64 expected)
+  if(NOT actual_sum STREQUAL expected)
+    message(FATAL_ERROR "golden mismatch (${what}): "
+                        "SHA-256 ${actual_sum}, expected '${expected}'")
+  endif()
+  message(STATUS "byte-identical: ${what}")
+endfunction()
+
 # The tarball holds the artifacts too bulky to keep loose (fig10 export,
 # postmortem json+txt); extract next to the scratch outputs.
 function(extract_tarball)
@@ -132,14 +146,8 @@ elseif(CASE STREQUAL "bench")
   endif()
   compare_or_die("${WORK_DIR}/${name}.txt" "${GOLDEN_DIR}/bench/${name}.txt"
                  "${name} scale=0.01 stdout")
-  file(SHA256 "${WORK_DIR}/${name}.json" actual)
-  file(STRINGS "${GOLDEN_DIR}/bench/json.sha256" line REGEX "  ${name}\\.json$")
-  string(SUBSTRING "${line}" 0 64 expected)
-  if(NOT actual STREQUAL expected)
-    message(FATAL_ERROR "golden mismatch (${name} scale=0.01 pvm.bench.v1 export): "
-                        "SHA-256 ${actual}, expected '${expected}'")
-  endif()
-  message(STATUS "byte-identical: ${name} scale=0.01 pvm.bench.v1 export")
+  compare_sha256_or_die("${WORK_DIR}/${name}.json" "${GOLDEN_DIR}/bench/json.sha256"
+                        "${name}.json" "${name} scale=0.01 pvm.bench.v1 export")
 
 elseif(CASE STREQUAL "simcheck")
   if(NOT DEFINED JOBS)
@@ -188,15 +196,9 @@ elseif(CASE STREQUAL "profile")
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "fig10_pagefault_scaling --profile failed (exit ${rc})")
   endif()
-  file(SHA256 "${WORK_DIR}/fig10.profile.json" actual)
-  file(STRINGS "${GOLDEN_DIR}/profile.sha256" line
-       REGEX "  fig10_pagefault_scaling\\.profile\\.json$")
-  string(SUBSTRING "${line}" 0 64 expected)
-  if(NOT actual STREQUAL expected)
-    message(FATAL_ERROR "golden mismatch (fig10 scale=0.01 pvm.profile.v1 export): "
-                        "SHA-256 ${actual}, expected '${expected}'")
-  endif()
-  message(STATUS "byte-identical: fig10 scale=0.01 pvm.profile.v1 export")
+  compare_sha256_or_die("${WORK_DIR}/fig10.profile.json" "${GOLDEN_DIR}/profile.sha256"
+                        "fig10_pagefault_scaling.profile.json"
+                        "fig10 scale=0.01 pvm.profile.v1 export")
 
 elseif(CASE STREQUAL "fleet")
   # pvm.fleet.v1 byte identity: a 1.2k-launch flashcrowd (ept vs pvm, the
