@@ -8,7 +8,7 @@
 #
 # Invoked as a ctest entry:
 #
-#   cmake -DCASE=<table0|fig10|bench|simcheck|profile> -DBIN=<binary>
+#   cmake -DCASE=<table0|fig10|bench|simcheck|profile|matrix> -DBIN=<binary>
 #         [-DBIN2=<binary>] -DJOBS=<n>
 #         -DGOLDEN_DIR=<srcdir>/tests/golden -DWORK_DIR=<scratch>
 #         -P golden_check.cmake
@@ -31,6 +31,11 @@
 #             --profile vs matrix_profile.json, and PVM_BENCH_SCALE=0.01
 #             fig10_pagefault_scaling --profile (BIN2) vs its SHA-256 line
 #             in profile.sha256
+#   matrix    every deploy mode: pvm-matrix --modes all --workloads all
+#             --policies all --seeds 2 with --timeseries and --profile, at
+#             --jobs 1 and --jobs 4 (the three documents must be equal
+#             across job counts), plus pvm-stat --modes all --json (BIN2);
+#             all four against their SHA-256 lines in matrix_all.sha256
 #
 # Regenerating goldens (after an intentional output change):
 #   build/bench/table0_switch_cost --json tests/golden/table0_switch_cost.json
@@ -47,6 +52,13 @@
 #       --profile fig10_pagefault_scaling.profile.json > /dev/null
 #       and replace tests/golden/profile.sha256 with the output of
 #       `sha256sum fig10_pagefault_scaling.profile.json`
+#   cd <scratch> && build/src/tools/pvm-matrix --modes all --workloads all \
+#       --policies all --seeds 2 --timeseries matrix_all.timeseries.json \
+#       --profile matrix_all.profile.json --out matrix_all.json --jobs 4
+#   build/src/tools/pvm-stat --modes all --json > <scratch>/pvm_stat_all.json
+#       and replace tests/golden/matrix_all.sha256 with the output of
+#       `sha256sum matrix_all.json matrix_all.timeseries.json
+#       matrix_all.profile.json pvm_stat_all.json`
 #   cd <scratch> && build/src/check/simcheck --modes pvm --policies fifo \
 #       --seeds 3 --debug-corrupt-from-seed 3 \
 #       --postmortem-dir golden-postmortems > simcheck_sweep.txt
@@ -199,6 +211,38 @@ elseif(CASE STREQUAL "profile")
   compare_sha256_or_die("${WORK_DIR}/fig10.profile.json" "${GOLDEN_DIR}/profile.sha256"
                         "fig10_pagefault_scaling.profile.json"
                         "fig10 scale=0.01 pvm.profile.v1 export")
+
+elseif(CASE STREQUAL "matrix")
+  # All seven deploy modes through every workload: the memory backends'
+  # fault protocols, the timeseries and the profile fold in one pin. The
+  # matrix document runs to ~15 MB, so only sums are checked in.
+  set(outputs matrix_all.json matrix_all.timeseries.json matrix_all.profile.json)
+  foreach(jobs 1 4)
+    file(MAKE_DIRECTORY "${WORK_DIR}/j${jobs}")
+    # Relative output paths from a per-job cwd, so the runs name the same files.
+    execute_process(COMMAND "${BIN}" --modes all --workloads all --policies all --seeds 2
+                            --timeseries matrix_all.timeseries.json
+                            --profile matrix_all.profile.json --out matrix_all.json
+                            --jobs ${jobs}
+                    WORKING_DIRECTORY "${WORK_DIR}/j${jobs}"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "pvm-matrix --modes all failed at --jobs ${jobs} (exit ${rc})")
+    endif()
+  endforeach()
+  foreach(name IN LISTS outputs)
+    compare_or_die("${WORK_DIR}/j4/${name}" "${WORK_DIR}/j1/${name}" "${name}, jobs 4 vs 1")
+    compare_sha256_or_die("${WORK_DIR}/j1/${name}" "${GOLDEN_DIR}/matrix_all.sha256"
+                          "${name}" "pvm-matrix all modes ${name}")
+  endforeach()
+  execute_process(COMMAND "${BIN2}" --modes all --json
+                  OUTPUT_FILE "${WORK_DIR}/pvm_stat_all.json"
+                  RESULT_VARIABLE rc ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "pvm-stat --modes all --json failed (exit ${rc})")
+  endif()
+  compare_sha256_or_die("${WORK_DIR}/pvm_stat_all.json" "${GOLDEN_DIR}/matrix_all.sha256"
+                        "pvm_stat_all.json" "pvm-stat all modes pvm.stat.v1 export")
 
 elseif(CASE STREQUAL "fleet")
   # pvm.fleet.v1 byte identity: a 1.2k-launch flashcrowd (ept vs pvm, the
