@@ -1,8 +1,9 @@
 // Deployment-specific backend interfaces.
 //
-// A MemoryBackend implements one memory-virtualization scheme (EPT-only,
-// kvm-spt, SPT-on-EPT, EPT-on-EPT, PVM-on-EPT); a CpuBackend implements the
-// matching CPU-virtualization scheme (hardware VMX or PVM's switcher). The
+// A MemoryBackend implements one memory-virtualization scheme (kvm-ept,
+// kvm-spt, EPT-on-EPT, SPT-on-EPT, PVM shadow paging on bare metal or on
+// EPT, PVM direct paging); a CpuBackend implements the matching
+// CPU-virtualization scheme (hardware VMX or PVM's switcher). The
 // guest kernel is scheme-agnostic: it drives all address-space mutations and
 // privileged operations through these interfaces, and the backends run the
 // world-switch protocols of §2.2/§3.3.
@@ -12,7 +13,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "src/arch/page_table.h"
 #include "src/arch/priv_op.h"
@@ -54,13 +54,6 @@ class MemoryBackend {
   // entry copy-on-write (fork's write-protect pass sets both).
   virtual Task<void> gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
                                  bool writable, bool mark_cow) = 0;
-
-  // Tears down the whole user address space at process exit/exec. The
-  // default loops gpt_unmap (per-store traps under shadow paging); PVM
-  // overrides it with a single bulk-zap hypercall — one of the
-  // "user-specific optimizations" its paravirtual interface enables.
-  virtual Task<void> gpt_bulk_teardown(Vcpu& vcpu, GuestProcess& proc,
-                                       const std::vector<std::uint64_t>& gvas);
 
   // Installs `proc`'s address space on `vcpu` (CR3 write + TLB policy).
   virtual Task<void> activate_process(Vcpu& vcpu, GuestProcess& proc, bool kernel_ring) = 0;

@@ -251,12 +251,11 @@ Task<void> GuestKernel::teardown_address_space(Vcpu& vcpu, GuestProcess& proc) {
   const std::map<std::uint64_t, std::uint64_t> frames = std::move(proc.data_frames());
   proc.data_frames().clear();
   proc.vmas().clear();
-  std::vector<std::uint64_t> gvas;
-  gvas.reserve(frames.size());
+  // Per-page unmap, paying whatever trap protocol the scheme imposes on
+  // each store.
   for (const auto& [gva, frame] : frames) {
-    gvas.push_back(gva);
+    co_await mem_->gpt_unmap(vcpu, proc, gva);
   }
-  co_await mem_->gpt_bulk_teardown(vcpu, proc, gvas);
   for (const auto& [gva, frame] : frames) {
     // Bulk frees return pages to the buddy allocator under the zone lock.
     ScopedResource zone = co_await zone_lock_.scoped();
