@@ -9,6 +9,7 @@
 #include "src/fault/fault.h"
 #include "src/obs/flight.h"
 #include "src/obs/span.h"
+#include "src/obs/step.h"
 #include "src/obs/ts.h"
 
 namespace pvm {
@@ -275,12 +276,9 @@ Task<bool> PvmMemoryEngine::fill_spt(std::uint64_t pid, std::uint64_t gva, bool 
     if (faults->spurious_spt_inval(name_)) {
       // Injected spurious invalidation: behaves exactly like losing a race
       // with a concurrent zap — nothing installed, the access refaults.
-      counters_->add(Counter::kFaultInjected);
       counters_->add(Counter::kSptFillRaced);
+      obs::fault_injected(*sim_, *counters_, fault::FaultKind::kSpuriousSptInval, gva);
       if (flight::FlightRecorder* flight = sim_->flight()) {
-        flight->record(flight::EventKind::kFaultInjected,
-                       flight->intern(fault_kind_name(fault::FaultKind::kSpuriousSptInval)),
-                       gva, static_cast<std::uint8_t>(fault::FaultKind::kSpuriousSptInval));
         flight->record(flight::EventKind::kSptFill, gva, pid, 2);
       }
       co_return true;

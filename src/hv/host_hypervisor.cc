@@ -60,35 +60,22 @@ std::uint64_t HostHypervisor::injected_exit_spike(const Vm& vm) {
   }
   const std::uint64_t spike = faults->exit_latency_spike(vm.name());
   if (spike > 0) {
-    counters_->add(Counter::kFaultInjected);
-    if (flight::FlightRecorder* flight = sim_->flight()) {
-      flight->record(flight::EventKind::kFaultInjected,
-                     flight->intern(fault_kind_name(fault::FaultKind::kExitLatencySpike)),
-                     spike, static_cast<std::uint8_t>(fault::FaultKind::kExitLatencySpike));
-    }
+    obs::fault_injected(*sim_, *counters_, fault::FaultKind::kExitLatencySpike, spike);
   }
   return spike;
 }
 
 Task<void> HostHypervisor::exit_roundtrip(Vm& vm, ExitKind kind) {
-  {
-    obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
-                                    static_cast<std::uint8_t>(kind));
-    co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
-  }
+  co_await begin_exit(vm, static_cast<std::uint8_t>(kind));
   {
     obs::SpanScope span(sim_->spans(), obs::Phase::kL0Handler);
     co_await sim_->delay(handler_cost(kind));
   }
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
-  co_await sim_->delay(costs_->vmx_entry);
+  co_await finish_entry();
 }
 
-Task<void> HostHypervisor::begin_exit(Vm& vm) {
-  // Split exits serve shadow-fill / emulation paths; in real KVM SPT both
-  // enter through a #PF-class vectored event, so record them as exceptions.
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
-                                  static_cast<std::uint8_t>(ExitKind::kException));
+Task<void> HostHypervisor::begin_exit(Vm& vm, std::uint8_t code, std::uint64_t detail) {
+  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit, code, detail);
   co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
 }
 
@@ -99,14 +86,9 @@ Task<void> HostHypervisor::finish_entry() {
 
 Task<void> HostHypervisor::handle_ept_violation(Vm& vm, std::uint64_t gpa) {
   counters_->add(Counter::kEptViolation);
-  {
-    obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
-                                    static_cast<std::uint8_t>(ExitKind::kEptViolation), gpa);
-    co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
-  }
+  co_await begin_exit(vm, static_cast<std::uint8_t>(ExitKind::kEptViolation), gpa);
   co_await fill_ept(vm, gpa);
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
-  co_await sim_->delay(costs_->vmx_entry);
+  co_await finish_entry();
 }
 
 Task<void> HostHypervisor::fill_ept(Vm& vm, std::uint64_t gpa) {
@@ -144,12 +126,7 @@ Task<void> HostHypervisor::inject_interrupt(Vm& vm) {
 Task<void> HostHypervisor::nested_forward_exit_to_l1(Vm& l1_vm, NestedVcpu& vcpu,
                                                      ExitKind kind) {
   // Hardware exits from L2 land in L0 (the only root-mode software).
-  {
-    obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit,
-                                    static_cast<std::uint8_t>(kind));
-    co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch +
-                         injected_exit_spike(l1_vm));
-  }
+  co_await begin_exit(l1_vm, static_cast<std::uint8_t>(kind));
 
   // Reflect the exit: copy exit information from VMCS02 into VMCS12 so L1's
   // handler sees it, then restore L1's own context from VMCS01.
@@ -162,19 +139,12 @@ Task<void> HostHypervisor::nested_forward_exit_to_l1(Vm& l1_vm, NestedVcpu& vcpu
                       vcpu.vmcs02.read(VmcsField::kGuestPhysicalAddress));
     co_await sim_->delay(costs_->nested_forward_work + 6 * costs_->vmcs_field_access);
   }
-
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
-  co_await sim_->delay(costs_->vmx_entry);
+  co_await finish_entry();
 }
 
 Task<void> HostHypervisor::nested_resume_l2(Vm& l1_vm, NestedVcpu& vcpu) {
   // L1's VMRESUME is privileged: it traps to L0.
-  {
-    obs::SpanScope span =
-        obs::step(*sim_, *counters_, flight::EventKind::kVmxExit, flight::kExitCodeVmresumeTrap);
-    co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch +
-                         injected_exit_spike(l1_vm));
-  }
+  co_await begin_exit(l1_vm, flight::kExitCodeVmresumeTrap);
 
   // Merge VMCS01 + VMCS12 -> VMCS02 ("update & reload VMCS02") plus the
   // VMRESUME consistency checks and MSR-switch emulation.
@@ -192,21 +162,14 @@ Task<void> HostHypervisor::nested_resume_l2(Vm& l1_vm, NestedVcpu& vcpu) {
   if (fault::FaultInjector* faults = sim_->faults(); faults != nullptr) {
     for (int attempt = 0; attempt < 8 && faults->vmresume_fails(l1_vm.name(), attempt);
          ++attempt) {
-      counters_->add(Counter::kFaultInjected);
       counters_->add(Counter::kVmresumeRetry);
-      if (flight::FlightRecorder* flight = sim_->flight()) {
-        flight->record(flight::EventKind::kFaultInjected,
-                       flight->intern(fault_kind_name(fault::FaultKind::kVmresumeFail)),
-                       static_cast<std::uint64_t>(attempt),
-                       static_cast<std::uint8_t>(fault::FaultKind::kVmresumeFail));
-      }
+      obs::fault_injected(*sim_, *counters_, fault::FaultKind::kVmresumeFail,
+                          static_cast<std::uint64_t>(attempt));
       obs::SpanScope span(sim_->spans(), obs::Phase::kVmcsSync);
       co_await sim_->delay(costs_->vmx_entry + costs_->nested_resume_work);
     }
   }
-
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
-  co_await sim_->delay(costs_->vmx_entry);
+  co_await finish_entry();
 }
 
 Task<void> HostHypervisor::l1_vmcs12_access(Vm& l1_vm, NestedVcpu& vcpu, int count) {
@@ -222,12 +185,7 @@ Task<void> HostHypervisor::l1_vmcs12_access(Vm& l1_vm, NestedVcpu& vcpu, int cou
 }
 
 Task<void> HostHypervisor::emulate_protected_store(Vm& l1_vm) {
-  {
-    obs::SpanScope span =
-        obs::step(*sim_, *counters_, flight::EventKind::kVmxExit, flight::kExitCodeEpt12Store);
-    co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch +
-                         injected_exit_spike(l1_vm));
-  }
+  co_await begin_exit(l1_vm, flight::kExitCodeEpt12Store);
   {
     // kvm_mmu_pte_write runs under the L1 VM's L0 mmu_lock — shared by every
     // nested guest on the instance. This is a major serialization point.
@@ -235,8 +193,7 @@ Task<void> HostHypervisor::emulate_protected_store(Vm& l1_vm) {
     ScopedResource lock = co_await l1_vm.mmu_lock().scoped();
     co_await sim_->delay(costs_->l0_ept_emulate_write);
   }
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
-  co_await sim_->delay(costs_->vmx_entry);
+  co_await finish_entry();
 }
 
 }  // namespace pvm

@@ -115,9 +115,14 @@ class HostHypervisor {
   // trip Table 1 measures for kvm (BM).
   Task<void> exit_roundtrip(Vm& vm, ExitKind kind);
 
-  // Split exit/entry, for handlers whose body runs caller-side code (e.g.
-  // shadow-table fills under engine locks).
-  Task<void> begin_exit(Vm& vm);
+  // Split exit/entry: the exit half records exit `code` with flight payload
+  // `detail` and charges the exit plus L0 dispatch; the entry half charges
+  // the VM entry. Handlers whose body runs caller-side code (e.g. shadow-table
+  // fills under engine locks) enter through a #PF-class vectored event in
+  // real KVM SPT, hence the exception default.
+  Task<void> begin_exit(Vm& vm,
+                        std::uint8_t code = static_cast<std::uint8_t>(ExitKind::kException),
+                        std::uint64_t detail = 0);
   Task<void> finish_entry();
 
   // EPT violation service: exit, allocate a host frame and install the

@@ -5,6 +5,7 @@
 #include "src/fault/fault.h"
 #include "src/obs/flight.h"
 #include "src/obs/span.h"
+#include "src/obs/step.h"
 #include "src/wal/wal.h"
 
 namespace pvm {
@@ -94,7 +95,8 @@ Task<MigrationResult> MigrationEngine::migrate(HostHypervisor::Vm& vm,
       if (fault::FaultInjector* faults = l0_->sim().faults(); faults != nullptr) {
         const SimTime stall = faults->migration_stall(vm.name());
         if (stall > 0) {
-          l0_->counters().add(Counter::kFaultInjected);
+          obs::fault_injected(l0_->sim(), l0_->counters(), fault::FaultKind::kMigrationStall,
+                              stall);
           round_time += stall;
           stalled = true;
         }

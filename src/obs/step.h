@@ -13,6 +13,9 @@
 // vmx_roundtrip_ns exemplar never ends in vmx_entry. Exit records feed no
 // exemplar; their rows follow the same rule as their entries.
 //
+// fault_injected() does the same for an injected fault: one counter and
+// one flight event, so the counter, the timeline and the ts series agree.
+//
 // Header-only and inline: it runs on every world switch.
 
 #ifndef PVM_SRC_OBS_STEP_H_
@@ -22,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/fault/fault.h"
 #include "src/metrics/counters.h"
 #include "src/obs/flight.h"
 #include "src/obs/phase.h"
@@ -80,6 +84,18 @@ inline SpanScope step(Simulation& sim, CounterSet& counters, flight::EventKind k
     span = SpanScope(sim.spans(), row.phase);
   }
   return span;
+}
+
+// Counts and records one injected fault of `kind` that fired; `detail` is
+// the flight payload (the extra ns, the retry attempt or the address).
+inline void fault_injected(Simulation& sim, CounterSet& counters, fault::FaultKind kind,
+                           std::uint64_t detail) {
+  counters.add(Counter::kFaultInjected);
+  if (flight::FlightRecorder* flight = sim.flight()) {
+    flight->record(flight::EventKind::kFaultInjected,
+                   flight->intern(fault::fault_kind_name(kind)), detail,
+                   static_cast<std::uint8_t>(kind));
+  }
 }
 
 }  // namespace pvm::obs

@@ -16,6 +16,8 @@
 #include "src/fault/watchdog.h"
 #include "src/guest/guest_kernel.h"
 #include "src/hv/migration.h"
+#include "src/obs/flight.h"
+#include "src/obs/ts.h"
 #include "src/workloads/memstress.h"
 #include "src/workloads/runner.h"
 
@@ -185,6 +187,48 @@ TEST(MigrationFaultTest, StalledDivergentPreCopyFallsBackToPostCopy) {
   EXPECT_EQ(result.downtime, 200 * kNsPerUs);
   EXPECT_EQ(fx.counters.get(Counter::kMigrationFallback), 1u);
   EXPECT_GT(fx.counters.get(Counter::kFaultInjected), 0u);
+}
+
+TEST(MigrationFaultTest, InjectedStallsReachFlightRecorderAndTimeseries) {
+  // Every stall that fires is counted, recorded as a kFaultInjected flight
+  // event named migration_stall, and so reaches the faults_injected series.
+  // Declared before the fixture, so they outlive its simulation.
+  flight::FlightRecorder recorder;
+  recorder.set_capacity(1 << 16);
+  ts::Collector collector;
+  MigrationFixture fx(/*resident_pages=*/8192);
+  fx.sim.set_flight(&recorder);
+  fx.sim.set_ts(&collector);
+  fx.sim.spawn(dirtier(fx.sim, *fx.vm, 2000, /*bursts=*/40, /*period=*/kNsPerMs));
+  fault::FaultInjector injector;
+  fault::FaultPlan plan;
+  fault::FaultSpec stall;
+  stall.kind = fault::FaultKind::kMigrationStall;
+  stall.trigger.until_ns = 30 * kNsPerMs;
+  stall.delay_ns = kNsPerMs;
+  plan.specs.push_back(stall);
+  injector.arm(std::move(plan));
+  fx.sim.set_faults(&injector);
+
+  const std::uint64_t before = fx.counters.get(Counter::kFaultInjected);
+  MigrationParams params;
+  params.divergence_rounds = 2;
+  fx.migrate(params);
+  const std::uint64_t fired = fx.counters.get(Counter::kFaultInjected) - before;
+  ASSERT_GT(fired, 0u);
+
+  ASSERT_EQ(recorder.dropped_events(), 0u);
+  std::uint64_t recorded = 0;
+  for (const flight::Event& event : recorder.merged()) {
+    if (event.kind == flight::EventKind::kFaultInjected &&
+        recorder.name(event.a) == "migration_stall") {
+      EXPECT_EQ(event.b, kNsPerMs);  // the stall's length
+      ++recorded;
+    }
+  }
+  EXPECT_EQ(recorded, fired);
+  EXPECT_EQ(collector.drain().series.at("faults_injected").total,
+            static_cast<std::int64_t>(fired));
 }
 
 TEST(MigrationFaultTest, CappedConvergentPreCopyRetriesWithBackoff) {
