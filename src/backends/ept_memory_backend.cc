@@ -1,93 +1,16 @@
 #include "src/backends/ept_memory_backend.h"
 
-#include "src/obs/flight.h"
-#include "src/obs/span.h"
-
 namespace pvm {
 
-Task<void> EptMemoryBackend::access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
-                                    std::uint64_t gva, AccessType access, bool user_mode) {
-  const std::uint16_t pcid = guest_pcid(proc, user_mode, kpti_);
-  obs::SpanScope op;
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    if (proc.oom_killed()) {
-      co_return;  // OOM-killed mid-access; the faulting task is abandoned
-    }
-    if (tlb_try(vcpu, pcid, gva, access, user_mode)) {
-      co_await sim_->delay(costs_->tlb_hit);
-      co_await dirty_note(vcpu, proc, gva, access);
-      co_return;
-    }
-
-    const TwoDimWalk walk =
-        walk_two_dimensional(proc.gpt(), vm_->ept(), gva, access, user_mode);
-    co_await sim_->delay(static_cast<std::uint64_t>(walk.total_loads) * costs_->walk_load);
-
-    if (walk.outcome != TwoDimWalk::Outcome::kOk && attempt == 0) {
-      op = obs::SpanScope(sim_->spans(), obs::Phase::kOpPageFault, gva);
-      if (flight::FlightRecorder* flight = sim_->flight()) {
-        flight->record(flight::EventKind::kGuestFault, gva,
-                       static_cast<std::uint64_t>(proc.pid()));
-      }
-    }
-    switch (walk.outcome) {
-      case TwoDimWalk::Outcome::kOk:
-        vcpu.tlb.insert(vpid_, pcid, page_number(gva),
-                        Pte::make(walk.host_frame, walk.guest.pte.flags()));
-        co_await sim_->delay(costs_->tlb_fill);
-        co_await dirty_note(vcpu, proc, gva, access);
-        co_return;
-      case TwoDimWalk::Outcome::kGuestNotPresent:
-      case TwoDimWalk::Outcome::kGuestProtection: {
-        // Handled entirely inside the guest — no exits.
-        co_await guest_local_fault_entry();
-        const PageFaultInfo fault{gva, access, user_mode,
-                                  walk.outcome == TwoDimWalk::Outcome::kGuestProtection};
-        co_await kernel.handle_page_fault(vcpu, proc, fault);
-        co_await guest_local_fault_return();
-        break;
-      }
-      case TwoDimWalk::Outcome::kEptViolation:
-        co_await l0_->ensure_backed(*vm_, walk.violating_gpa);
-        break;
-    }
+Task<bool> EptMemoryBackend::resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                                           const GuestAccess& access, const TwoDimWalk& walk) {
+  if (walk.outcome == TwoDimWalk::Outcome::kEptViolation) {
+    co_await l0_->ensure_backed(*vm_, walk.violating_gpa);
+  } else {
+    // Handled entirely inside the guest — no exits.
+    co_await guest_local_fault(vcpu, proc, kernel, access, walk);
   }
-  fault_loop_error(gva);
-}
-
-Task<void> EptMemoryBackend::gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                     std::uint64_t gpa_frame, PteFlags flags) {
-  const MapResult result = proc.gpt().map(gva, gpa_frame, flags);
-  co_await sim_->delay(static_cast<std::uint64_t>(result.entries_written) *
-                       costs_->guest_pte_store);
-  if (result.replaced) {
-    tlb_drop_page(vcpu, proc, gva);
-  }
-}
-
-Task<void> EptMemoryBackend::gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) {
-  proc.gpt().unmap(gva);
-  // invlpg after the clear.
-  co_await sim_->delay(costs_->guest_pte_store + costs_->cr3_write / 2);
-  tlb_drop_page(vcpu, proc, gva);
-}
-
-Task<void> EptMemoryBackend::gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                         bool writable, bool mark_cow) {
-  proc.gpt().update_pte(gva, [&](Pte& pte) {
-    pte.set_writable(writable);
-    pte.set_cow(mark_cow);
-  });
-  co_await sim_->delay(costs_->guest_pte_store + costs_->cr3_write / 2);
-  tlb_drop_page(vcpu, proc, gva);
-}
-
-Task<void> EptMemoryBackend::activate_process(Vcpu& vcpu, GuestProcess& proc,
-                                              bool kernel_ring) {
-  // CR3 write in non-root mode: no exit, PCID keeps the TLB warm.
-  vcpu.state.cr3 = proc.gpt().root_frame();
-  vcpu.state.pcid = guest_pcid(proc, !kernel_ring, kpti_);
-  co_await sim_->delay(costs_->cr3_write);
+  co_return true;
 }
 
 }  // namespace pvm

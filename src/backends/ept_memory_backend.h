@@ -12,29 +12,27 @@
 
 namespace pvm {
 
-class EptMemoryBackend : public MemoryBackendBase {
+class EptMemoryBackend : public GuestPtBackend {
  public:
   EptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& vm, bool kpti)
-      : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), "ept:" + vm.name(), vm.vpid()),
+      : GuestPtBackend(l0.sim(), l0.costs(), l0.counters(), "ept:" + vm.name(), vm.vpid(), kpti,
+                       /*max_attempts=*/16, /*opens_fault_span=*/true),
         l0_(&l0),
-        vm_(&vm),
-        kpti_(kpti) {}
+        vm_(&vm) {}
 
   std::string_view name() const override { return "kvm-ept"; }
 
-  Task<void> access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel, std::uint64_t gva,
-                    AccessType access, bool user_mode) override;
-  Task<void> gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, std::uint64_t gpa_frame,
-                     PteFlags flags) override;
-  Task<void> gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) override;
-  Task<void> gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, bool writable,
-                         bool mark_cow) override;
-  Task<void> activate_process(Vcpu& vcpu, GuestProcess& proc, bool kernel_ring) override;
+ protected:
+  TwoDimWalk hardware_walk(GuestProcess& proc, const GuestAccess& access) override {
+    return walk_two_dimensional(proc.gpt(), vm_->ept(), access.gva, access.type,
+                                access.user_mode);
+  }
+  Task<bool> resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                           const GuestAccess& access, const TwoDimWalk& walk) override;
 
  private:
   HostHypervisor* l0_;
   HostHypervisor::Vm* vm_;
-  bool kpti_;
 };
 
 }  // namespace pvm

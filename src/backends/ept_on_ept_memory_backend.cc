@@ -1,63 +1,27 @@
 #include "src/backends/ept_on_ept_memory_backend.h"
 
-#include "src/obs/flight.h"
 #include "src/obs/span.h"
 
 namespace pvm {
 
-Task<void> EptOnEptMemoryBackend::access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
-                                         std::uint64_t gva, AccessType access, bool user_mode) {
-  const std::uint16_t pcid = guest_pcid(proc, user_mode, kpti_);
-  for (int attempt = 0; attempt < 24; ++attempt) {
-    if (proc.oom_killed()) {
-      co_return;  // OOM-killed mid-access; the faulting task is abandoned
-    }
-    if (tlb_try(vcpu, pcid, gva, access, user_mode)) {
-      co_await sim_->delay(costs_->tlb_hit);
-      co_await dirty_note(vcpu, proc, gva, access);
-      co_return;
-    }
-
-    const TwoDimWalk walk = walk_two_dimensional(proc.gpt(), ept02_, gva, access, user_mode);
-    co_await sim_->delay(static_cast<std::uint64_t>(walk.total_loads) * costs_->walk_load);
-
-    if (walk.outcome != TwoDimWalk::Outcome::kOk && attempt == 0) {
-      if (flight::FlightRecorder* flight = sim_->flight()) {
-        flight->record(flight::EventKind::kGuestFault, gva,
-                       static_cast<std::uint64_t>(proc.pid()));
-      }
-    }
-    switch (walk.outcome) {
-      case TwoDimWalk::Outcome::kOk:
-        vcpu.tlb.insert(vpid_, pcid, page_number(gva),
-                        Pte::make(walk.host_frame, walk.guest.pte.flags()));
-        co_await sim_->delay(costs_->tlb_fill);
-        co_await dirty_note(vcpu, proc, gva, access);
-        co_return;
-      case TwoDimWalk::Outcome::kGuestNotPresent:
-      case TwoDimWalk::Outcome::kGuestProtection: {
-        // ①-③ of Fig. 3(b): guest page faults stay inside L2.
-        co_await guest_local_fault_entry();
-        const PageFaultInfo fault{gva, access, user_mode,
-                                  walk.outcome == TwoDimWalk::Outcome::kGuestProtection};
-        co_await kernel.handle_page_fault(vcpu, proc, fault);
-        co_await guest_local_fault_return();
-        break;
-      }
-      case TwoDimWalk::Outcome::kEptViolation: {
-        const bool backed = co_await handle_ept02_violation(vcpu, walk.violating_gpa);
-        if (!backed) {
-          // The instance's guest-physical pool is empty and the L1 KVM has
-          // no reclaim protocol for EPT12 backing: the faulting process is
-          // OOM-killed (during a boot storm this takes init down with it).
-          co_await kernel.oom_kill_process(vcpu, proc);
-          co_return;
-        }
-        break;
-      }
-    }
+Task<bool> EptOnEptMemoryBackend::resolve_fault(Vcpu& vcpu, GuestProcess& proc,
+                                                GuestKernel& kernel, const GuestAccess& access,
+                                                const TwoDimWalk& walk) {
+  if (walk.outcome != TwoDimWalk::Outcome::kEptViolation) {
+    // ①-③ of Fig. 3(b): guest page faults stay inside L2.
+    co_await guest_local_fault(vcpu, proc, kernel, access, walk);
+    co_return true;
   }
-  fault_loop_error(gva);
+  // Bound before the test: GCC 12 miscompiles `if (!co_await ...)` here.
+  const bool backed = co_await handle_ept02_violation(vcpu, walk.violating_gpa);
+  if (!backed) {
+    // The instance's guest-physical pool is empty and the L1 KVM has no
+    // reclaim protocol for EPT12 backing: the faulting process is
+    // OOM-killed (during a boot storm this takes init down with it).
+    co_await kernel.oom_kill_process(vcpu, proc);
+    co_return false;
+  }
+  co_return true;
 }
 
 Task<bool> EptOnEptMemoryBackend::handle_ept02_violation(Vcpu& vcpu, std::uint64_t gpa) {
@@ -125,40 +89,6 @@ Task<bool> EptOnEptMemoryBackend::handle_ept02_violation(Vcpu& vcpu, std::uint64
   }
   co_await l0_->finish_entry();
   co_return true;
-}
-
-Task<void> EptOnEptMemoryBackend::gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                          std::uint64_t gpa_frame, PteFlags flags) {
-  // GPT2 updates are free under EPT-on-EPT (①-③).
-  const MapResult result = proc.gpt().map(gva, gpa_frame, flags);
-  co_await sim_->delay(static_cast<std::uint64_t>(result.entries_written) *
-                       costs_->guest_pte_store);
-  if (result.replaced) {
-    tlb_drop_page(vcpu, proc, gva);
-  }
-}
-
-Task<void> EptOnEptMemoryBackend::gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) {
-  proc.gpt().unmap(gva);
-  co_await sim_->delay(costs_->guest_pte_store + costs_->cr3_write / 2);
-  tlb_drop_page(vcpu, proc, gva);
-}
-
-Task<void> EptOnEptMemoryBackend::gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                              bool writable, bool mark_cow) {
-  proc.gpt().update_pte(gva, [&](Pte& pte) {
-    pte.set_writable(writable);
-    pte.set_cow(mark_cow);
-  });
-  co_await sim_->delay(costs_->guest_pte_store + costs_->cr3_write / 2);
-  tlb_drop_page(vcpu, proc, gva);
-}
-
-Task<void> EptOnEptMemoryBackend::activate_process(Vcpu& vcpu, GuestProcess& proc,
-                                                   bool kernel_ring) {
-  vcpu.state.cr3 = proc.gpt().root_frame();
-  vcpu.state.pcid = guest_pcid(proc, !kernel_ring, kpti_);
-  co_await sim_->delay(costs_->cr3_write);
 }
 
 }  // namespace pvm

@@ -17,32 +17,30 @@
 
 namespace pvm {
 
-class EptOnEptMemoryBackend : public MemoryBackendBase {
+class EptOnEptMemoryBackend : public GuestPtBackend {
  public:
+  // The loop opens no op span: handle_ept02_violation opens it with the GPA.
   EptOnEptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& l1_vm, std::uint16_t l2_vpid,
                         const std::string& container_name, bool kpti)
-      : MemoryBackendBase(l0.sim(), l0.costs(), l0.counters(), "ept-on-ept:" + container_name,
-                          l2_vpid),
+      : GuestPtBackend(l0.sim(), l0.costs(), l0.counters(), "ept-on-ept:" + container_name,
+                       l2_vpid, kpti, /*max_attempts=*/24, /*opens_fault_span=*/false),
         l0_(&l0),
         l1_vm_(&l1_vm),
-        kpti_(kpti),
         ept12_(container_name + ".ept12", nullptr),
         ept02_(container_name + ".ept02", nullptr),
         l1_mmu_lock_(l0.sim(), container_name + ".l1_mmu_lock") {}
 
   std::string_view name() const override { return "ept-on-ept"; }
 
-  Task<void> access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel, std::uint64_t gva,
-                    AccessType access, bool user_mode) override;
-  Task<void> gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, std::uint64_t gpa_frame,
-                     PteFlags flags) override;
-  Task<void> gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) override;
-  Task<void> gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, bool writable,
-                         bool mark_cow) override;
-  Task<void> activate_process(Vcpu& vcpu, GuestProcess& proc, bool kernel_ring) override;
-
   PageTable& ept12() { return ept12_; }
   PageTable& ept02() { return ept02_; }
+
+ protected:
+  TwoDimWalk hardware_walk(GuestProcess& proc, const GuestAccess& access) override {
+    return walk_two_dimensional(proc.gpt(), ept02_, access.gva, access.type, access.user_mode);
+  }
+  Task<bool> resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                           const GuestAccess& access, const TwoDimWalk& walk) override;
 
  private:
   // The full ➊..⓭ flow for one missing GPA_L2. Returns false when the L1
@@ -53,7 +51,6 @@ class EptOnEptMemoryBackend : public MemoryBackendBase {
 
   HostHypervisor* l0_;
   HostHypervisor::Vm* l1_vm_;
-  bool kpti_;
   PageTable ept12_;  // GPA_L2 -> GPA_L1, owned by the L1 KVM
   PageTable ept02_;  // GPA_L2 -> HPA, owned by L0 (the compressed table)
   Resource l1_mmu_lock_;  // the L1 KVM's per-L2-VM mmu_lock

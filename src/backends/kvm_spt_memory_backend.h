@@ -10,49 +10,39 @@
 #ifndef PVM_SRC_BACKENDS_KVM_SPT_MEMORY_BACKEND_H_
 #define PVM_SRC_BACKENDS_KVM_SPT_MEMORY_BACKEND_H_
 
-#include <memory>
-#include <unordered_set>
-
 #include "src/backends/memory_common.h"
-#include "src/core/memory_engine.h"
 #include "src/hv/host_hypervisor.h"
 
 namespace pvm {
 
-class KvmSptMemoryBackend : public MemoryBackendBase {
+class KvmSptMemoryBackend : public ShadowPtBackend {
  public:
-  KvmSptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& vm, bool kpti);
+  KvmSptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& vm, PvmMemoryEngine& engine)
+      : ShadowPtBackend(l0.sim(), l0.costs(), l0.counters(), "kvm-spt:" + vm.name(), vm.vpid(),
+                        engine, /*max_attempts=*/16),
+        l0_(&l0),
+        vm_(&vm) {}
 
   std::string_view name() const override { return "kvm-spt"; }
 
-  void on_process_created(GuestProcess& proc) override;
-  Task<void> on_process_destroyed(Vcpu& vcpu, GuestProcess& proc) override;
-  Task<void> access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel, std::uint64_t gva,
-                    AccessType access, bool user_mode) override;
-  Task<void> gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, std::uint64_t gpa_frame,
-                     PteFlags flags) override;
-  Task<void> gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) override;
-  Task<void> gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, bool writable,
-                         bool mark_cow) override;
   Task<void> activate_process(Vcpu& vcpu, GuestProcess& proc, bool kernel_ring) override;
 
-  PvmMemoryEngine& engine() { return *engine_; }
+ protected:
+  // Without PCID awareness every guest address space shares tag 0.
+  std::uint16_t access_pcid(GuestProcess&, bool) override { return 0; }
+  TwoDimWalk hardware_walk(GuestProcess& proc, const GuestAccess& access) override {
+    return walk_one_dimensional(active_spt(proc, access.user_mode), access.gva, access.type,
+                                access.user_mode);
+  }
+  Task<bool> resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                           const GuestAccess& access, const TwoDimWalk& walk) override;
+  // One trapped GPT store: exit, emulate, keep shadows coherent, entry.
+  Task<void> sync_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
+                        GptStoreKind kind) override;
 
  private:
-  // Is the process's GPT registered for write protection yet? (Happens on
-  // first activation; a fork child's table is built untracked.)
-  bool shadowed(const GuestProcess& proc) const {
-    return shadowed_.count(proc.pid()) > 0;
-  }
-  // One trapped GPT store: exit, emulate, keep shadows coherent, entry.
-  Task<void> trapped_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                           GptStoreKind kind);
-
   HostHypervisor* l0_;
   HostHypervisor::Vm* vm_;
-  bool kpti_;
-  std::unique_ptr<PvmMemoryEngine> engine_;
-  std::unordered_set<std::uint64_t> shadowed_;
 };
 
 }  // namespace pvm

@@ -16,6 +16,23 @@
 
 namespace pvm {
 
+namespace {
+
+// kvm-spt and spt-on-ept run the generic shadow engine with every PVM
+// optimization switched off.
+std::unique_ptr<PvmMemoryEngine> make_baseline_engine(HostHypervisor& l0, FrameAllocator& frames,
+                                                      const std::string& name, bool kpti) {
+  PvmMemoryEngine::Options options;
+  options.prefault = false;
+  options.pcid_mapping = false;
+  options.fine_grained_locks = false;
+  options.dual_spt = kpti;
+  return std::make_unique<PvmMemoryEngine>(l0.sim(), l0.costs(), l0.counters(), frames, name,
+                                           options);
+}
+
+}  // namespace
+
 Task<void> SecureContainer::compute(SimTime ns) {
   obs::SpanScope span(sim_->spans(), obs::Phase::kCompute, ns);
   // Timeslice through the host CPU pool: FIFO quanta approximate the host
@@ -121,7 +138,8 @@ SecureContainer& VirtualPlatform::create_container(const std::string& name) {
     case DeployMode::kKvmSptBm: {
       c.vm_ = &l0_.create_vm(name, config_.container_frames, /*prewarm_ept=*/false);
       c.gpa_frames_ = &c.vm_->gpa_frames();
-      c.mem_ = std::make_unique<KvmSptMemoryBackend>(l0_, *c.vm_, config_.kpti);
+      c.engine_ = make_baseline_engine(l0_, l0_.host_frames(), "kvm-spt:" + name, config_.kpti);
+      c.mem_ = std::make_unique<KvmSptMemoryBackend>(l0_, *c.vm_, *c.engine_);
       VmxCpuBackend::Options cpu_options;
       cpu_options.kpti = config_.kpti;
       cpu_options.spt_mode = true;
@@ -171,8 +189,10 @@ SecureContainer& VirtualPlatform::create_container(const std::string& name) {
       c.owned_gpa_ = std::make_unique<FrameAllocator>(name + ".gpa", config_.container_frames);
       c.gpa_frames_ = c.owned_gpa_.get();
       placed_l1->set_nested_vmx_active(true);  // nVMX in use: L1 pinned (§2.3)
+      c.engine_ = make_baseline_engine(l0_, placed_l1->gpa_frames(), "spt-on-ept:" + name,
+                                       config_.kpti);
       c.mem_ = std::make_unique<SptOnEptMemoryBackend>(l0_, *placed_l1, l2_vpid, name,
-                                                       config_.kpti);
+                                                       *c.engine_);
       VmxCpuBackend::Options cpu_options;
       cpu_options.kpti = config_.kpti;
       cpu_options.nested = true;
@@ -187,24 +207,15 @@ SecureContainer& VirtualPlatform::create_container(const std::string& name) {
   // hosting L1 instance when nested. pvm (BM) has no L0-visible VM at all.
   if (HostHypervisor::Vm* tracked = c.vm_ != nullptr ? c.vm_ : placed_l1;
       tracked != nullptr) {
-    if (auto* mem_base = dynamic_cast<MemoryBackendBase*>(c.mem_.get())) {
-      mem_base->set_dirty_tracker(&tracked->dirty_tracker());
-    }
+    c.mem_->set_dirty_tracker(&tracked->dirty_tracker());
   }
 
   c.kernel_ = std::make_unique<GuestKernel>(sim_, costs_, counters_, *c.gpa_frames_, *c.mem_,
                                             *c.cpu_, config_.kpti);
   containers_.push_back(std::move(container));
   SecureContainer* raw = containers_.back().get();
-  const auto vcpu_provider = [raw]() { return raw->vcpu_count(); };
   if (raw->engine_) {
-    raw->engine_->set_vcpu_count_provider(vcpu_provider);
-  }
-  if (auto* spt = dynamic_cast<KvmSptMemoryBackend*>(raw->mem_.get())) {
-    spt->engine().set_vcpu_count_provider(vcpu_provider);
-  }
-  if (auto* soe = dynamic_cast<SptOnEptMemoryBackend*>(raw->mem_.get())) {
-    soe->engine().set_vcpu_count_provider(vcpu_provider);
+    raw->engine_->set_vcpu_count_provider([raw]() { return raw->vcpu_count(); });
   }
   if (config_.coherence_oracle) {
     if (PvmMemoryEngine* engine = raw->shadow_engine()) {
@@ -240,19 +251,6 @@ void VirtualPlatform::arm_faults(fault::FaultInjector* faults) {
   for (const auto& container : containers_) {
     container->gpa_frames_->set_faults(faults);
   }
-}
-
-PvmMemoryEngine* SecureContainer::shadow_engine() {
-  if (engine_) {
-    return engine_.get();
-  }
-  if (auto* spt = dynamic_cast<KvmSptMemoryBackend*>(mem_.get())) {
-    return &spt->engine();
-  }
-  if (auto* soe = dynamic_cast<SptOnEptMemoryBackend*>(mem_.get())) {
-    return &soe->engine();
-  }
-  return nullptr;
 }
 
 SlabStats VirtualPlatform::engine_alloc_stats() {

@@ -20,9 +20,9 @@
 
 #include "src/arch/cost_model.h"
 #include "src/backends/config.h"
+#include "src/backends/memory_common.h"
 #include "src/core/memory_engine.h"
 #include "src/core/pvm_hypervisor.h"
-#include "src/guest/backend_iface.h"
 #include "src/guest/guest_kernel.h"
 #include "src/guest/io_device.h"
 #include "src/hv/host_hypervisor.h"
@@ -43,7 +43,7 @@ class SecureContainer {
   GuestKernel& kernel() { return *kernel_; }
   IoDevice& io() { return *io_; }
   FrameAllocator& gpa_frames() { return *gpa_frames_; }
-  MemoryBackend& mem() { return *mem_; }
+  MemoryBackendBase& mem() { return *mem_; }
   CpuBackend& cpu() { return *cpu_; }
 
   Vcpu& add_vcpu() {
@@ -73,10 +73,12 @@ class SecureContainer {
   // Fig. 12 counts these as container crashes.
   bool boot_failed() const { return boot_failed_; }
 
-  // The shadow-paging engine backing this container, if the deployment mode
-  // has one (PVM modes, kvm-spt, spt-on-ept); null for EPT/direct-paging
-  // modes. simcheck uses it to run strict oracle checks at quiescent points.
-  PvmMemoryEngine* shadow_engine();
+  // The PvmMemoryEngine the container owns, if the deployment mode has one;
+  // null for the EPT modes. pvm, kvm-spt and spt-on-ept keep their shadow
+  // tables in it; pvm-direct uses it only for PCID reuse and has no shadow
+  // tables, so callers that need shadow state check has_process(pid).
+  // simcheck uses it to run strict oracle checks at quiescent points.
+  PvmMemoryEngine* shadow_engine() { return engine_.get(); }
 
   // The L0 VM directly hosting this container in bare-metal modes (the one
   // L0 would migrate); null in nested modes, where the migratable unit is
@@ -93,7 +95,7 @@ class SecureContainer {
   FrameAllocator* gpa_frames_ = nullptr;
   std::unique_ptr<FrameAllocator> owned_gpa_;
   std::unique_ptr<PvmMemoryEngine> engine_;
-  std::unique_ptr<MemoryBackend> mem_;
+  std::unique_ptr<MemoryBackendBase> mem_;
   std::unique_ptr<CpuBackend> cpu_;
   std::unique_ptr<GuestKernel> kernel_;
   std::unique_ptr<IoDevice> io_;

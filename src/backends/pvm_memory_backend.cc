@@ -1,180 +1,99 @@
 #include "src/backends/pvm_memory_backend.h"
 
-#include "src/obs/flight.h"
 #include "src/obs/span.h"
 
 namespace pvm {
 
-PvmMemoryBackend::PvmMemoryBackend(PvmHypervisor& hypervisor, PvmMemoryEngine& engine,
-                                   HostHypervisor* l0, HostHypervisor::Vm* l1_vm,
-                                   std::uint16_t vpid, const std::string& container_name)
-    : MemoryBackendBase(hypervisor.sim(), hypervisor.costs(), hypervisor.counters(),
-                        "pvm:" + container_name, vpid),
-      hypervisor_(&hypervisor),
-      engine_(&engine),
-      l0_(l0),
-      l1_vm_(l1_vm) {}
+namespace {
 
-void PvmMemoryBackend::on_process_created(GuestProcess& proc) {
-  engine_->create_process(proc.pid(), &proc.gpt());
+VirtRing resume_ring(const GuestAccess& access) {
+  return access.user_mode ? VirtRing::kVRing3 : VirtRing::kVRing0;
 }
 
-Task<void> PvmMemoryBackend::on_process_destroyed(Vcpu& vcpu, GuestProcess& proc) {
-  engine_->destroy_process(proc.pid(), vcpu.tlb, vpid_);
-  shadowed_.erase(proc.pid());
-  co_return;
-}
+}  // namespace
 
-std::uint16_t PvmMemoryBackend::tag_pcid(GuestProcess& proc, bool user_mode) {
-  if (!engine_->options().pcid_mapping) {
-    return 0;
+Task<bool> PvmMemoryBackend::resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                                           const GuestAccess& access, const TwoDimWalk& walk) {
+  if (walk.outcome == TwoDimWalk::Outcome::kEptViolation) {
+    // Rare by the warm-L1 assumption; handled by L0 without PVM knowing.
+    co_await l0_->ensure_backed(*l1_vm_, walk.violating_gpa);
+    co_return true;
   }
-  return engine_->pcid_mapper().map(proc.pid(), /*kernel_ring=*/!user_mode).hw_pcid;
-}
-
-Task<void> PvmMemoryBackend::access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
-                                    std::uint64_t gva, AccessType access, bool user_mode) {
   Switcher& switcher = hypervisor_->switcher();
-  const std::uint16_t pcid = tag_pcid(proc, user_mode);
-  const VirtRing resume_ring = user_mode ? VirtRing::kVRing3 : VirtRing::kVRing0;
 
-  // Operation span: opened at the first non-OK walk (a genuine fault) and
-  // closed when the access finally succeeds, so the op covers the whole
-  // resolution including the successful re-walk after the last retry.
-  obs::SpanScope op;
-  for (int attempt = 0; attempt < 24; ++attempt) {
-    if (proc.oom_killed()) {
-      co_return;  // OOM-killed mid-access; the faulting task is abandoned
+  // §5 extension: with switcher-side classification on, the switcher
+  // itself walks GPT2; genuine guest faults are injected straight into
+  // the L2 kernel without entering the PVM hypervisor at all.
+  if (hypervisor_->options().switcher_pf_classify && access.user_mode) {
+    const WalkResult classify = proc.gpt().walk(access.gva, access.type, access.user_mode);
+    co_await sim_->delay(costs_->switcher_classify +
+                         static_cast<std::uint64_t>(classify.levels_walked) * costs_->walk_load);
+    if (!classify.present || !classify.permission_ok) {
+      // Direct injection (one switch instead of exit+entry).
+      co_await switcher.direct_switch_to_kernel(vcpu.switcher_state, vcpu.state);
+      co_await kernel.handle_page_fault(vcpu, proc, access.fault(classify.present));
+      co_return co_await iret_and_prefault(vcpu, proc, kernel, access);
     }
-    if (tlb_try(vcpu, pcid, gva, access, user_mode)) {
-      co_await sim_->delay(costs_->tlb_hit);
-      co_await dirty_note(vcpu, proc, gva, access);
-      co_return;
-    }
-
-    // Hardware walk: the active dual SPT, composed with the warm EPT01 when
-    // nested (the L0 hypervisor sees an ordinary VM).
-    PageTable& spt = engine_->spt(proc.pid(), /*kernel_ring=*/!user_mode);
-    const TwoDimWalk walk =
-        l1_vm_ != nullptr
-            ? walk_two_dimensional(spt, l1_vm_->ept(), gva, access, user_mode)
-            : walk_one_dimensional(spt, gva, access, user_mode);
-    co_await sim_->delay(static_cast<std::uint64_t>(walk.total_loads) * costs_->walk_load);
-
-    if (walk.outcome == TwoDimWalk::Outcome::kOk) {
-      vcpu.tlb.insert(vpid_, pcid, page_number(gva),
-                      Pte::make(walk.host_frame, walk.guest.pte.flags()));
-      co_await sim_->delay(costs_->tlb_fill);
-      co_await dirty_note(vcpu, proc, gva, access);
-      co_return;
-    }
-    if (attempt == 0) {
-      op = obs::SpanScope(sim_->spans(), obs::Phase::kOpPageFault, gva);
-      if (flight::FlightRecorder* flight = sim_->flight()) {
-        flight->record(flight::EventKind::kGuestFault, gva,
-                       static_cast<std::uint64_t>(proc.pid()));
-      }
-    }
-    if (walk.outcome == TwoDimWalk::Outcome::kEptViolation) {
-      // Rare by the warm-L1 assumption; handled by L0 without PVM knowing.
-      co_await l0_->ensure_backed(*l1_vm_, walk.violating_gpa);
-      continue;
-    }
-
-    // §5 extension: with switcher-side classification on, the switcher
-    // itself walks GPT2; genuine guest faults are injected straight into
-    // the L2 kernel without entering the PVM hypervisor at all.
-    if (hypervisor_->options().switcher_pf_classify && user_mode) {
-      const WalkResult classify = proc.gpt().walk(gva, access, user_mode);
-      co_await sim_->delay(costs_->switcher_classify +
-                           static_cast<std::uint64_t>(classify.levels_walked) *
-                               costs_->walk_load);
-      if (!classify.present || !classify.permission_ok) {
-        // Direct injection (one switch instead of exit+entry).
-        co_await switcher.direct_switch_to_kernel(vcpu.switcher_state, vcpu.state);
-        const PageFaultInfo fault{gva, access, user_mode, classify.present};
-        co_await kernel.handle_page_fault(vcpu, proc, fault);
-
-        // iret hypercall -> PVM (prefault) -> back to user, as in Fig. 9.
-        counters_->add(Counter::kHypercall);
-        co_await switcher.to_hypervisor(vcpu.switcher_state, vcpu.state,
-                                        SwitchReason::kHypercall);
-        co_await sim_->delay(costs_->pvm_exit_dispatch + costs_->pvm_simple_handler);
-        co_await drain_sync_ring(vcpu);
-        if (engine_->options().prefault) {
-          if (const Pte* leaf = proc.gpt().find_pte(page_base(gva));
-              leaf != nullptr && leaf->present()) {
-            const bool filled = co_await engine_->fill_spt(proc.pid(), page_base(gva),
-                                                           !user_mode, *leaf,
-                                                           /*is_prefault=*/true);
-            if (!filled) {
-              co_await kernel.oom_kill_process(vcpu, proc);
-              co_return;
-            }
-            counters_->add(Counter::kPrefaultSavedFault);
-          }
-        }
-        co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, resume_ring);
-        continue;
-      }
-      // Shadow fault: fall through to the hypervisor path below.
-    }
-
-    // Fault against the shadow table: one switcher world switch into PVM
-    // (Fig. 9 ①-②), which classifies it against GPT2.
-    co_await switcher.to_hypervisor(vcpu.switcher_state, vcpu.state, SwitchReason::kPageFault);
-    co_await sim_->delay(costs_->pvm_exit_dispatch);
-    co_await drain_sync_ring(vcpu);  // piggybacked collaborative sync (free)
-
-    const WalkResult gpt_walk = proc.gpt().walk(gva, access, user_mode);
-    co_await sim_->delay(static_cast<std::uint64_t>(gpt_walk.levels_walked) *
-                         costs_->walk_load);
-
-    if (gpt_walk.present && gpt_walk.permission_ok) {
-      // Pure shadow miss (❶-❺): PVM fills SPT12 itself and returns straight
-      // to the faulting context. If prefault did its job this path is rare.
-      counters_->add(Counter::kShadowPageFault);
-      const bool filled = co_await engine_->fill_spt(proc.pid(), page_base(gva), !user_mode,
-                                                     gpt_walk.pte, /*is_prefault=*/false);
-      if (!filled) {
-        // Even the engine's reclaim pass found no backing: escalate to the
-        // guest OOM killer rather than spin on an unserviceable fault.
-        co_await kernel.oom_kill_process(vcpu, proc);
-        co_return;
-      }
-      co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, resume_ring);
-      continue;
-    }
-
-    // Genuine guest fault (①-⑩): inject the #PF into the guest kernel (③-⑤),
-    // let it repair GPT2 (⑥, each store trapping via gpt_map), take the iret
-    // hypercall (⑦), prefault SPT12 (⑧), and return to guest user (⑨-⑩).
-    co_await sim_->delay(costs_->pvm_exception_inject);
-    co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, VirtRing::kVRing0);
-
-    const PageFaultInfo fault{gva, access, user_mode, gpt_walk.present};
-    co_await kernel.handle_page_fault(vcpu, proc, fault);
-
-    counters_->add(Counter::kHypercall);  // iret hypercall
-    co_await switcher.to_hypervisor(vcpu.switcher_state, vcpu.state, SwitchReason::kHypercall);
-    co_await sim_->delay(costs_->pvm_exit_dispatch + costs_->pvm_simple_handler);
-    co_await drain_sync_ring(vcpu);  // piggybacked collaborative sync (free)
-
-    if (engine_->options().prefault) {
-      if (const Pte* leaf = proc.gpt().find_pte(page_base(gva));
-          leaf != nullptr && leaf->present()) {
-        const bool filled = co_await engine_->fill_spt(proc.pid(), page_base(gva), !user_mode,
-                                                       *leaf, /*is_prefault=*/true);
-        if (!filled) {
-          co_await kernel.oom_kill_process(vcpu, proc);
-          co_return;
-        }
-        counters_->add(Counter::kPrefaultSavedFault);
-      }
-    }
-    co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, resume_ring);
+    // Shadow fault: fall through to the hypervisor path below.
   }
-  fault_loop_error(gva);
+
+  // Fault against the shadow table: one switcher world switch into PVM
+  // (Fig. 9 ①-②), which classifies it against GPT2.
+  co_await switcher.to_hypervisor(vcpu.switcher_state, vcpu.state, SwitchReason::kPageFault);
+  co_await sim_->delay(costs_->pvm_exit_dispatch);
+  co_await drain_sync_ring(vcpu);  // piggybacked collaborative sync (free)
+
+  const WalkResult gpt_walk = proc.gpt().walk(access.gva, access.type, access.user_mode);
+  co_await sim_->delay(static_cast<std::uint64_t>(gpt_walk.levels_walked) * costs_->walk_load);
+
+  if (gpt_walk.present && gpt_walk.permission_ok) {
+    // Pure shadow miss (❶-❺): PVM fills SPT12 itself and returns straight
+    // to the faulting context. If prefault did its job this path is rare.
+    counters_->add(Counter::kShadowPageFault);
+    const bool filled = co_await engine_->fill_spt(proc.pid(), page_base(access.gva),
+                                                   !access.user_mode, gpt_walk.pte,
+                                                   /*is_prefault=*/false);
+    if (!filled) {
+      // Even the engine's reclaim pass found no backing: escalate to the
+      // guest OOM killer rather than spin on an unserviceable fault.
+      co_await kernel.oom_kill_process(vcpu, proc);
+      co_return false;
+    }
+    co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, resume_ring(access));
+    co_return true;
+  }
+
+  // Genuine guest fault (①-⑩): inject the #PF into the guest kernel (③-⑤),
+  // let it repair GPT2 (⑥, each store trapping via gpt_map), then the iret
+  // hypercall, prefault and return (⑦-⑩).
+  co_await sim_->delay(costs_->pvm_exception_inject);
+  co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, VirtRing::kVRing0);
+  co_await kernel.handle_page_fault(vcpu, proc, access.fault(gpt_walk.present));
+  co_return co_await iret_and_prefault(vcpu, proc, kernel, access);
+}
+
+Task<bool> PvmMemoryBackend::iret_and_prefault(Vcpu& vcpu, GuestProcess& proc,
+                                               GuestKernel& kernel, const GuestAccess& access) {
+  Switcher& switcher = hypervisor_->switcher();
+  counters_->add(Counter::kHypercall);  // iret hypercall
+  co_await switcher.to_hypervisor(vcpu.switcher_state, vcpu.state, SwitchReason::kHypercall);
+  co_await sim_->delay(costs_->pvm_exit_dispatch + costs_->pvm_simple_handler);
+  co_await drain_sync_ring(vcpu);  // piggybacked collaborative sync (free)
+  if (engine_->options().prefault) {
+    if (const Pte* leaf = proc.gpt().find_pte(page_base(access.gva));
+        leaf != nullptr && leaf->present()) {
+      const bool filled = co_await engine_->fill_spt(proc.pid(), page_base(access.gva),
+                                                     !access.user_mode, *leaf,
+                                                     /*is_prefault=*/true);
+      if (!filled) {
+        co_await kernel.oom_kill_process(vcpu, proc);
+        co_return false;
+      }
+      counters_->add(Counter::kPrefaultSavedFault);
+    }
+  }
+  co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, resume_ring(access));
+  co_return true;
 }
 
 Task<void> PvmMemoryBackend::queue_sync(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
@@ -204,7 +123,7 @@ Task<void> PvmMemoryBackend::drain_sync_ring(Vcpu& vcpu) {
   for (const PendingSync& record : batch) {
     // A record may outlive its process (fork child queued installs, then
     // exited): its shadow state is gone and there is nothing to synchronize.
-    if (shadowed_.count(record.pid) == 0) {
+    if (!tracked(record.pid)) {
       continue;
     }
     co_await engine_->emulate_gpt_store(record.pid, record.gva, record.kind, vcpu.tlb, vpid_,
@@ -212,8 +131,16 @@ Task<void> PvmMemoryBackend::drain_sync_ring(Vcpu& vcpu) {
   }
 }
 
-Task<void> PvmMemoryBackend::trapped_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                           GptStoreKind kind) {
+Task<void> PvmMemoryBackend::sync_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
+                                        GptStoreKind kind) {
+  if (collaborative() && (kind == GptStoreKind::kInstall || kind == GptStoreKind::kTableAlloc ||
+                          kind == GptStoreKind::kMakeWritable)) {
+    // §5 extension: widening stores don't trap — they queue for batched
+    // synchronization (a missing SPT entry only means a later, fillable
+    // fault, so deferral is safe).
+    co_await queue_sync(vcpu, proc, gva, kind);
+    co_return;
+  }
   obs::SpanScope op(sim_->spans(), obs::Phase::kOpGptStore, gva);
   Switcher& switcher = hypervisor_->switcher();
   const VirtRing resume_ring = vcpu.state.virt_ring;
@@ -227,70 +154,9 @@ Task<void> PvmMemoryBackend::trapped_store(Vcpu& vcpu, GuestProcess& proc, std::
   co_await switcher.enter_guest(vcpu.switcher_state, vcpu.state, resume_ring);
 }
 
-Task<void> PvmMemoryBackend::gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                     std::uint64_t gpa_frame, PteFlags flags) {
-  const MapResult result = proc.gpt().map(gva, gpa_frame, flags);
-  if (result.replaced) {
-    tlb_drop_page(vcpu, proc, gva);
-  }
-  if (!shadowed(proc)) {
-    co_await sim_->delay(static_cast<std::uint64_t>(result.entries_written) *
-                         costs_->guest_pte_store);
-    co_return;
-  }
-  if (collaborative()) {
-    // §5 extension: widening stores don't trap — they queue for batched
-    // synchronization (a missing SPT entry only means a later, fillable
-    // fault, so deferral is safe).
-    for (int i = 0; i < result.entries_written; ++i) {
-      const bool leaf = i == result.entries_written - 1;
-      co_await queue_sync(vcpu, proc, gva,
-                          leaf ? GptStoreKind::kInstall : GptStoreKind::kTableAlloc);
-    }
-    co_return;
-  }
-  // GPT2 is read-only to the guest: every store needs PVM's assistance —
-  // 2 world switches per touched level (the "2n" of §3.3.2).
-  for (int i = 0; i < result.entries_written; ++i) {
-    const bool leaf = i == result.entries_written - 1;
-    co_await trapped_store(vcpu, proc, gva,
-                           leaf ? GptStoreKind::kInstall : GptStoreKind::kTableAlloc);
-  }
-}
-
-Task<void> PvmMemoryBackend::gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) {
-  proc.gpt().unmap(gva);
-  tlb_drop_page(vcpu, proc, gva);
-  if (!shadowed(proc)) {
-    co_await sim_->delay(costs_->guest_pte_store);
-    co_return;
-  }
-  co_await trapped_store(vcpu, proc, gva, GptStoreKind::kClear);
-}
-
-Task<void> PvmMemoryBackend::gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                                         bool writable, bool mark_cow) {
-  proc.gpt().update_pte(gva, [&](Pte& pte) {
-    pte.set_writable(writable);
-    pte.set_cow(mark_cow);
-  });
-  tlb_drop_page(vcpu, proc, gva);
-  if (!shadowed(proc)) {
-    co_await sim_->delay(costs_->guest_pte_store);
-    co_return;
-  }
-  if (collaborative() && writable) {
-    // Widening: batched like installs.
-    co_await queue_sync(vcpu, proc, gva, GptStoreKind::kMakeWritable);
-    co_return;
-  }
-  co_await trapped_store(vcpu, proc, gva,
-                         writable ? GptStoreKind::kMakeWritable : GptStoreKind::kWriteProtect);
-}
-
 Task<void> PvmMemoryBackend::activate_process(Vcpu& vcpu, GuestProcess& proc,
                                               bool kernel_ring) {
-  shadowed_.insert(proc.pid());
+  track(proc);
   // CR3 writes are paravirtualized: one hypercall round trip through the
   // switcher, then PVM switches the active shadow root.
   co_await hypervisor_->handle_privileged_op(vcpu.switcher_state, vcpu.state,

@@ -13,39 +13,56 @@
 #ifndef PVM_SRC_BACKENDS_PVM_MEMORY_BACKEND_H_
 #define PVM_SRC_BACKENDS_PVM_MEMORY_BACKEND_H_
 
-#include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "src/backends/memory_common.h"
-#include "src/core/memory_engine.h"
 #include "src/core/pvm_hypervisor.h"
 #include "src/hv/host_hypervisor.h"
 
 namespace pvm {
 
-class PvmMemoryBackend : public MemoryBackendBase {
+class PvmMemoryBackend : public ShadowPtBackend {
  public:
   // `l0`/`l1_vm` are null for bare-metal deployments.
   PvmMemoryBackend(PvmHypervisor& hypervisor, PvmMemoryEngine& engine, HostHypervisor* l0,
                    HostHypervisor::Vm* l1_vm, std::uint16_t vpid,
-                   const std::string& container_name);
+                   const std::string& container_name)
+      : ShadowPtBackend(hypervisor.sim(), hypervisor.costs(), hypervisor.counters(),
+                        "pvm:" + container_name, vpid, engine, /*max_attempts=*/24),
+        hypervisor_(&hypervisor),
+        l0_(l0),
+        l1_vm_(l1_vm) {}
 
   std::string_view name() const override { return l1_vm_ ? "pvm-on-ept" : "pvm-spt"; }
 
-  void on_process_created(GuestProcess& proc) override;
-  Task<void> on_process_destroyed(Vcpu& vcpu, GuestProcess& proc) override;
-  Task<void> access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel, std::uint64_t gva,
-                    AccessType access, bool user_mode) override;
-  Task<void> gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, std::uint64_t gpa_frame,
-                     PteFlags flags) override;
-  Task<void> gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) override;
-  Task<void> gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, bool writable,
-                         bool mark_cow) override;
   Task<void> activate_process(Vcpu& vcpu, GuestProcess& proc, bool kernel_ring) override;
 
-  PvmMemoryEngine& engine() { return *engine_; }
-
  protected:
+  // With PCID mapping on, the L1 PCID the engine maps this (process, ring)
+  // to; the lookup refreshes the mapper's LRU.
+  std::uint16_t access_pcid(GuestProcess& proc, bool user_mode) override {
+    if (!engine_->options().pcid_mapping) {
+      return 0;
+    }
+    return engine_->pcid_mapper().map(proc.pid(), /*kernel_ring=*/!user_mode).hw_pcid;
+  }
+  // The active dual SPT, composed with the warm EPT01 when nested (the L0
+  // hypervisor sees an ordinary VM).
+  TwoDimWalk hardware_walk(GuestProcess& proc, const GuestAccess& access) override {
+    PageTable& spt = active_spt(proc, access.user_mode);
+    return l1_vm_ != nullptr
+               ? walk_two_dimensional(spt, l1_vm_->ept(), access.gva, access.type,
+                                      access.user_mode)
+               : walk_one_dimensional(spt, access.gva, access.type, access.user_mode);
+  }
+  Task<bool> resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                           const GuestAccess& access, const TwoDimWalk& walk) override;
+  // GPT2 is read-only to the guest: a store needs PVM's assistance, one
+  // switcher round trip (the "2n" of §3.3.2), unless collaborative PT
+  // queues it.
+  Task<void> sync_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
+                        GptStoreKind kind) override;
+
   // A dirty-tracking WP fault resolves through the switcher into the PVM
   // hypervisor — the paper's ~7x-cheaper exit — not a VMX round trip.
   std::uint64_t dirty_exit_roundtrip_ns() const override {
@@ -53,11 +70,12 @@ class PvmMemoryBackend : public MemoryBackendBase {
   }
 
  private:
-  bool shadowed(const GuestProcess& proc) const { return shadowed_.count(proc.pid()) > 0; }
-  std::uint16_t tag_pcid(GuestProcess& proc, bool user_mode);
-  // One trapped GPT store: switcher round trip into PVM + emulation.
-  Task<void> trapped_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                           GptStoreKind kind);
+  // After the guest kernel repaired GPT2: the iret hypercall into PVM, the
+  // prefault of the repaired leaf and the return to the faulting context
+  // (Fig. 9 ⑦-⑩). Returns false when the prefault found no backing and the
+  // process was OOM-killed.
+  Task<bool> iret_and_prefault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                               const GuestAccess& access);
 
   // §5 collaborative-PT extension: GPT stores are queued in a shared ring
   // instead of trapping; the queue is drained under one switcher round trip
@@ -75,10 +93,8 @@ class PvmMemoryBackend : public MemoryBackendBase {
   Task<void> drain_sync_ring(Vcpu& vcpu);
 
   PvmHypervisor* hypervisor_;
-  PvmMemoryEngine* engine_;
   HostHypervisor* l0_;
   HostHypervisor::Vm* l1_vm_;
-  std::unordered_set<std::uint64_t> shadowed_;
   std::vector<PendingSync> sync_ring_;
 };
 

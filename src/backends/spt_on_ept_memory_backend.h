@@ -9,46 +9,40 @@
 #ifndef PVM_SRC_BACKENDS_SPT_ON_EPT_MEMORY_BACKEND_H_
 #define PVM_SRC_BACKENDS_SPT_ON_EPT_MEMORY_BACKEND_H_
 
-#include <memory>
-#include <unordered_set>
-
 #include "src/backends/memory_common.h"
-#include "src/core/memory_engine.h"
 #include "src/hv/host_hypervisor.h"
 
 namespace pvm {
 
-class SptOnEptMemoryBackend : public MemoryBackendBase {
+class SptOnEptMemoryBackend : public ShadowPtBackend {
  public:
   SptOnEptMemoryBackend(HostHypervisor& l0, HostHypervisor::Vm& l1_vm, std::uint16_t l2_vpid,
-                        const std::string& container_name, bool kpti);
+                        const std::string& container_name, PvmMemoryEngine& engine)
+      : ShadowPtBackend(l0.sim(), l0.costs(), l0.counters(), "spt-on-ept:" + container_name,
+                        l2_vpid, engine, /*max_attempts=*/24),
+        l0_(&l0),
+        l1_vm_(&l1_vm) {}
 
   std::string_view name() const override { return "spt-on-ept"; }
 
-  void on_process_created(GuestProcess& proc) override;
-  Task<void> on_process_destroyed(Vcpu& vcpu, GuestProcess& proc) override;
-  Task<void> access(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel, std::uint64_t gva,
-                    AccessType access, bool user_mode) override;
-  Task<void> gpt_map(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, std::uint64_t gpa_frame,
-                     PteFlags flags) override;
-  Task<void> gpt_unmap(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva) override;
-  Task<void> gpt_protect(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva, bool writable,
-                         bool mark_cow) override;
   Task<void> activate_process(Vcpu& vcpu, GuestProcess& proc, bool kernel_ring) override;
 
-  PvmMemoryEngine& engine() { return *engine_; }
+ protected:
+  std::uint16_t access_pcid(GuestProcess&, bool) override { return 0; }  // no PCID awareness
+  // Hardware uses SPT12 (GVA_L2 -> GPA_L1) plus the warm EPT01.
+  TwoDimWalk hardware_walk(GuestProcess& proc, const GuestAccess& access) override {
+    return walk_two_dimensional(active_spt(proc, access.user_mode), l1_vm_->ept(), access.gva,
+                                access.type, access.user_mode);
+  }
+  Task<bool> resolve_fault(Vcpu& vcpu, GuestProcess& proc, GuestKernel& kernel,
+                           const GuestAccess& access, const TwoDimWalk& walk) override;
+  // A trapped GPT store: L2 -> L0 -> L1 emulates -> L0 -> L2.
+  Task<void> sync_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
+                        GptStoreKind kind) override;
 
  private:
-  bool shadowed(const GuestProcess& proc) const { return shadowed_.count(proc.pid()) > 0; }
-  // A trapped GPT store: L2 -> L0 -> L1 emulates -> L0 -> L2.
-  Task<void> trapped_store(Vcpu& vcpu, GuestProcess& proc, std::uint64_t gva,
-                           GptStoreKind kind);
-
   HostHypervisor* l0_;
   HostHypervisor::Vm* l1_vm_;
-  bool kpti_;
-  std::unique_ptr<PvmMemoryEngine> engine_;
-  std::unordered_set<std::uint64_t> shadowed_;
 };
 
 }  // namespace pvm

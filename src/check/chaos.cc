@@ -3,26 +3,12 @@
 #include <set>
 #include <vector>
 
-#include "src/backends/memory_common.h"
 #include "src/core/memory_engine.h"
 #include "src/guest/guest_kernel.h"
 #include "src/guest/process.h"
 #include "src/sim/random.h"
 
 namespace pvm {
-
-namespace {
-
-// The VPID the container's memory backend tags TLB entries with; 0 for
-// backends outside the MemoryBackendBase family (none today).
-std::uint16_t backend_vpid(SecureContainer& container) {
-  if (const auto* base = dynamic_cast<const MemoryBackendBase*>(&container.mem())) {
-    return base->vpid();
-  }
-  return 0;
-}
-
-}  // namespace
 
 Task<void> chaos_zap_storm(SecureContainer& container, Vcpu& vcpu, GuestProcess& proc,
                            ChaosParams params) {
@@ -33,7 +19,7 @@ Task<void> chaos_zap_storm(SecureContainer& container, Vcpu& vcpu, GuestProcess&
     co_return;
   }
   Simulation& sim = container.sim();
-  const std::uint16_t vpid = backend_vpid(container);
+  const std::uint16_t vpid = container.mem().vpid();
   Xoshiro256 rng(params.seed);
   // Each page is target-zapped at most once: unbounded re-zapping of one page
   // can outpace a backend's bounded fault-retry loop (harness-induced
