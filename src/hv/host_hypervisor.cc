@@ -74,14 +74,16 @@ Task<void> HostHypervisor::exit_roundtrip(Vm& vm, ExitKind kind) {
   co_await finish_entry();
 }
 
-Task<void> HostHypervisor::begin_exit(Vm& vm, std::uint8_t code, std::uint64_t detail) {
+HostHypervisor::TransitionHalf HostHypervisor::begin_exit(Vm& vm, std::uint8_t code,
+                                                          std::uint64_t detail) {
   obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxExit, code, detail);
-  co_await sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm));
+  return {std::move(span),
+          sim_->delay(costs_->vmx_exit + costs_->l0_exit_dispatch + injected_exit_spike(vm))};
 }
 
-Task<void> HostHypervisor::finish_entry() {
-  obs::SpanScope span = obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry);
-  co_await sim_->delay(costs_->vmx_entry);
+HostHypervisor::TransitionHalf HostHypervisor::finish_entry() {
+  return {obs::step(*sim_, *counters_, flight::EventKind::kVmxEntry),
+          sim_->delay(costs_->vmx_entry)};
 }
 
 Task<void> HostHypervisor::handle_ept_violation(Vm& vm, std::uint64_t gpa) {

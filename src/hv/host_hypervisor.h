@@ -24,6 +24,7 @@
 #include "src/hv/dirty_tracker.h"
 #include "src/hv/vmcs.h"
 #include "src/metrics/counters.h"
+#include "src/obs/span.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
@@ -115,15 +116,30 @@ class HostHypervisor {
   // trip Table 1 measures for kvm (BM).
   Task<void> exit_roundtrip(Vm& vm, ExitKind kind);
 
+  // One half of a VMX transition: the step's counters, flight record and
+  // span, with the span held across the half's delay. Awaited in place, so
+  // a half costs no coroutine frame.
+  struct TransitionHalf {
+    obs::SpanScope span;
+    Simulation::DelayAwaiter delay;
+
+    bool await_ready() const noexcept { return false; }
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) noexcept {
+      delay.await_suspend(h);
+    }
+    void await_resume() const noexcept {}
+  };
+
   // Split exit/entry: the exit half records exit `code` with flight payload
   // `detail` and charges the exit plus L0 dispatch; the entry half charges
   // the VM entry. Handlers whose body runs caller-side code (e.g. shadow-table
   // fills under engine locks) enter through a #PF-class vectored event in
   // real KVM SPT, hence the exception default.
-  Task<void> begin_exit(Vm& vm,
-                        std::uint8_t code = static_cast<std::uint8_t>(ExitKind::kException),
-                        std::uint64_t detail = 0);
-  Task<void> finish_entry();
+  TransitionHalf begin_exit(Vm& vm,
+                            std::uint8_t code = static_cast<std::uint8_t>(ExitKind::kException),
+                            std::uint64_t detail = 0);
+  TransitionHalf finish_entry();
 
   // EPT violation service: exit, allocate a host frame and install the
   // EPT01 leaf under the VM's mmu_lock, entry.
