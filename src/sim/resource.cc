@@ -21,15 +21,25 @@ void ScopedResource::release() {
   }
 }
 
+std::optional<SimTime> Resource::take_hold_start() {
+  if (capacity_ == 1) {
+    const SimTime start = std::exchange(hold_start_, kNoHoldStart);
+    return start == kNoHoldStart ? std::nullopt : std::optional<SimTime>(start);
+  }
+  if (hold_starts_.empty()) {
+    return std::nullopt;
+  }
+  const SimTime start = hold_starts_.front();
+  hold_starts_.pop_front();
+  return start;
+}
+
 void Resource::release() {
   if (flight::FlightRecorder* flight = sim_->flight()) {
     flight->record(flight::EventKind::kLockRelease, flight_id(flight));
   }
-  if (!hold_starts_.empty()) {
-    // Match this release to the oldest outstanding acquisition (exact for
-    // capacity-1 locks, FIFO-approximate for pools).
-    const SimTime held = sim_->now() - hold_starts_.front();
-    hold_starts_.pop_front();
+  if (const std::optional<SimTime> start = take_hold_start()) {
+    const SimTime held = sim_->now() - *start;
     total_hold_ns_ += held;
     hold_hist_.record(held);
   }

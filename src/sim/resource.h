@@ -8,11 +8,14 @@
 // belongs to, so `Simulation::blocked_report()` can name who is parked where
 // when a run deadlocks.
 //
-// A Resource allocates nothing until it is used: both queues allocate on
-// first push, and the wait histogram on the first contended acquire, so the
-// tens of thousands of lazily created SPT locks that never contend cost only
-// their inline size. Resources register with their Simulation on
-// construction (an intrusive list, O(1) both ways; see Simulation::resources).
+// A Resource allocates nothing until it is used: the waiter queue allocates
+// on first push, the wait histogram on the first contended acquire, and the
+// hold histogram only if its holds span more than a few buckets. A lock
+// (capacity 1) keeps its holder's acquisition time inline; only pools queue
+// hold starts. So the tens of thousands of lazily created SPT locks that
+// never contend cost only their inline size. Resources register with their
+// Simulation on construction (an intrusive list, O(1) both ways; see
+// Simulation::resources).
 //
 // Usage inside a Task:
 //   ScopedResource guard = co_await lock.scoped();   // released at scope exit
@@ -27,7 +30,9 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "src/metrics/histogram.h"
 #include "src/obs/flight.h"
@@ -183,7 +188,17 @@ class Resource {
   friend struct AcquireAwaiter;
   friend class ResourceList;  // links, unlinks and walks prev_/next_
 
-  void note_acquired() { hold_starts_.push_back(sim_->now()); }
+  void note_acquired() {
+    if (capacity_ == 1) {
+      hold_start_ = sim_->now();
+    } else {
+      hold_starts_.push_back(sim_->now());
+    }
+  }
+
+  // Acquisition time of the hold a release() ends, if one is outstanding:
+  // exact for capacity-1 locks, FIFO-approximate for pools.
+  std::optional<SimTime> take_hold_start();
 
   // Interned flight-recorder id for this resource's name, resolved lazily on
   // first acquisition so construction order does not pin the id space.
@@ -195,6 +210,7 @@ class Resource {
   }
 
   static constexpr std::uint64_t kNoFlightId = ~0ull;
+  static constexpr SimTime kNoHoldStart = ~SimTime{0};
 
   Simulation* sim_;
   Resource* prev_ = nullptr;  // registry neighbours, in registration order
@@ -209,7 +225,8 @@ class Resource {
   SimTime total_wait_ns_ = 0;
   SimTime total_hold_ns_ = 0;
   std::size_t peak_queue_depth_ = 0;
-  Fifo<SimTime> hold_starts_;
+  SimTime hold_start_ = kNoHoldStart;  // capacity 1: the holder's acquisition
+  Fifo<SimTime> hold_starts_;          // pools: outstanding acquisitions
   std::unique_ptr<LatencyHistogram> wait_hist_;
   LatencyHistogram hold_hist_;
   std::uint64_t flight_name_id_ = kNoFlightId;

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <set>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/metrics/counters.h"
 #include "src/metrics/histogram.h"
@@ -114,6 +120,133 @@ TEST(LatencyHistogramTest, ResetClears) {
   h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
+}
+
+// Dense reference for LatencyHistogram: every bucket kept in a plain
+// 65-entry array, as the histogram stored them before it went sparse.
+struct DenseHistogram {
+  std::array<std::uint64_t, LatencyHistogram::kBucketCount> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max = 0;
+
+  void record(std::uint64_t value) {
+    ++count;
+    sum += value;
+    min = std::min(min, value);
+    max = std::max(max, value);
+    ++buckets[value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value))];
+  }
+
+  std::uint64_t quantile(double q) const {
+    if (count == 0) {
+      return 0;
+    }
+    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count));
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      seen += buckets[i];
+      if (seen > target || seen == count) {
+        return i >= 64 ? std::numeric_limits<std::uint64_t>::max() : (1ull << i) - 1;
+      }
+    }
+    return max;
+  }
+
+  std::size_t distinct_buckets() const {
+    return static_cast<std::size_t>(
+        std::count_if(buckets.begin(), buckets.end(), [](std::uint64_t n) { return n != 0; }));
+  }
+};
+
+void expect_matches(const LatencyHistogram& h, const DenseHistogram& ref, const std::string& what) {
+  EXPECT_EQ(h.count(), ref.count) << what;
+  EXPECT_EQ(h.sum(), ref.sum) << what;
+  EXPECT_EQ(h.min(), ref.count == 0 ? 0 : ref.min) << what;
+  EXPECT_EQ(h.max(), ref.max) << what;
+  EXPECT_EQ(h.mean(), ref.count == 0 ? 0.0
+                                     : static_cast<double>(ref.sum) /
+                                           static_cast<double>(ref.count))
+      << what;
+  for (const double q : {0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(h.quantile(q), ref.quantile(q)) << what << " q=" << q;
+  }
+  for (std::size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+    EXPECT_EQ(h.bucket_count(i), ref.buckets[i]) << what << " bucket " << i;
+  }
+}
+
+// 0, powers of two and their neighbours, values at or above 2^63, and
+// values spread over every bucket.
+std::uint64_t draw_latency(std::mt19937_64& rng) {
+  const int shift = static_cast<int>(rng() % 64);
+  switch (rng() % 6) {
+    case 0:
+      return 0;
+    case 1:
+      return 1ull << shift;
+    case 2:
+      return (1ull << shift) - 1;
+    case 3:
+      return (1ull << shift) + 1;
+    case 4:
+      return (1ull << 63) | rng();
+    default:
+      return rng() >> shift;
+  }
+}
+
+TEST(LatencyHistogramProperty, MatchesDenseReferenceAcrossSpillCopyAndReset) {
+  std::mt19937_64 rng(23);
+  int stayed_inline = 0;
+  int spilled = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Samples come from a pool of 1..9 values, so a trial may stay within
+    // the inline buckets or cross the spill point part-way through.
+    std::vector<std::uint64_t> pool(1 + trial % 9);
+    for (std::uint64_t& value : pool) {
+      value = draw_latency(rng);
+    }
+    LatencyHistogram h;
+    DenseHistogram ref;
+    const int samples = 1 + static_cast<int>(rng() % 48);
+    for (int i = 0; i < samples; ++i) {
+      const std::uint64_t value = pool[rng() % pool.size()];
+      h.record(value);
+      ref.record(value);
+      expect_matches(h, ref, "trial " + std::to_string(trial) + " sample " + std::to_string(i));
+    }
+    (ref.distinct_buckets() > LatencyHistogram::kInlineBuckets ? spilled : stayed_inline) += 1;
+
+    // Copies are deep: each side keeps recording on its own.
+    LatencyHistogram copy(h);
+    DenseHistogram copy_ref = ref;
+    LatencyHistogram assigned;
+    assigned.record(7);
+    assigned = h;
+    for (int i = 0; i < 6; ++i) {
+      const std::uint64_t value = draw_latency(rng);
+      copy.record(value);
+      copy_ref.record(value);
+    }
+    expect_matches(h, ref, "original after copy, trial " + std::to_string(trial));
+    expect_matches(assigned, ref, "assigned, trial " + std::to_string(trial));
+    expect_matches(copy, copy_ref, "copy, trial " + std::to_string(trial));
+
+    // reset() returns to the empty state, and the histogram is reusable.
+    h.reset();
+    expect_matches(h, DenseHistogram{}, "reset, trial " + std::to_string(trial));
+    DenseHistogram after_reset;
+    for (int i = 0; i < 3; ++i) {
+      const std::uint64_t value = pool[rng() % pool.size()];
+      h.record(value);
+      after_reset.record(value);
+    }
+    expect_matches(h, after_reset, "after reset, trial " + std::to_string(trial));
+  }
+  EXPECT_GT(stayed_inline, 50);
+  EXPECT_GT(spilled, 50);
 }
 
 TEST(TextTableTest, RendersAlignedColumns) {
