@@ -14,10 +14,15 @@
 #ifndef PVM_SRC_CORE_SPT_LOCKS_H_
 #define PVM_SRC_CORE_SPT_LOCKS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "src/sim/flat_map.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
 
@@ -27,10 +32,11 @@ class SptLockSet {
  public:
   SptLockSet(Simulation& sim, std::string name, bool fine_grained)
       : sim_(&sim),
-        name_(std::move(name)),
         fine_grained_(fine_grained),
-        mmu_lock_(sim, name_ + ".mmu_lock"),
-        meta_lock_(sim, name_ + ".meta_lock") {}
+        mmu_lock_(sim, name + ".mmu_lock"),
+        meta_lock_(sim, name + ".meta_lock"),
+        pt_locks_(name + ".pt_lock."),
+        rmap_locks_(name + ".rmap_lock.") {}
 
   bool fine_grained() const { return fine_grained_; }
 
@@ -43,18 +49,12 @@ class SptLockSet {
 
   // Lock guarding the PTEs of the shadow page backed by `shadow_table_frame`.
   Resource& pt_lock(std::uint64_t shadow_table_frame) {
-    if (!fine_grained_) {
-      return mmu_lock_;
-    }
-    return lazy_lock(pt_locks_, shadow_table_frame, ".pt_lock.");
+    return fine_grained_ ? pt_locks_.get(*sim_, shadow_table_frame) : mmu_lock_;
   }
 
   // Lock guarding the reverse map of guest frame number `gfn`.
   Resource& rmap_lock(std::uint64_t gfn) {
-    if (!fine_grained_) {
-      return mmu_lock_;
-    }
-    return lazy_lock(rmap_locks_, gfn, ".rmap_lock.");
+    return fine_grained_ ? rmap_locks_.get(*sim_, gfn) : mmu_lock_;
   }
 
   std::size_t pt_lock_count() const { return pt_locks_.size(); }
@@ -66,31 +66,76 @@ class SptLockSet {
   // callers must not rely on it — there the single mmu_lock is typically
   // held by the caller itself.
   bool rmap_lock_idle(std::uint64_t gfn) const {
-    const auto it = rmap_locks_.find(gfn);
-    return it == rmap_locks_.end() ||
-           (it->second.available() && it->second.queue_depth() == 0);
+    const Resource* lock = rmap_locks_.find(gfn);
+    return lock == nullptr || (lock->available() && lock->queue_depth() == 0);
   }
 
  private:
-  // Locks live in the map nodes themselves: node addresses survive rehash,
-  // so a returned Resource& (and its registry links) stays valid.
-  using LockMap = std::unordered_map<std::uint64_t, Resource>;
-
-  Resource& lazy_lock(LockMap& map, std::uint64_t key, const char* suffix) {
-    auto it = map.find(key);
-    if (it == map.end()) {
-      it = map.try_emplace(key, *sim_, name_ + suffix + std::to_string(key)).first;
+  // The lazily created locks of one kind, named prefix + key. A Resource is
+  // linked into its Simulation's registry and awaited by address, so it must
+  // never move: locks are built in place in fixed-size slabs, in creation
+  // order, and a FlatMap maps each key to its creation index. Destruction
+  // runs in creation order.
+  class LazyLocks {
+   public:
+    explicit LazyLocks(std::string prefix) : prefix_(std::move(prefix)) {}
+    LazyLocks(const LazyLocks&) = delete;
+    LazyLocks& operator=(const LazyLocks&) = delete;
+    ~LazyLocks() {
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        at(i).~Resource();
+      }
     }
-    return it->second;
-  }
+
+    Resource& get(Simulation& sim, std::uint64_t key) {
+      const auto [index, inserted] = index_.try_emplace(key, size_);
+      if (inserted) {
+        if ((size_ & kSlabMask) == 0) {
+          slabs_.push_back(std::make_unique_for_overwrite<Slab>());
+        }
+        new (slot(size_)) Resource(sim, prefix_ + std::to_string(key));
+        ++size_;
+      }
+      return at(*index);
+    }
+
+    const Resource* find(std::uint64_t key) const {
+      const std::uint32_t* index = index_.find(key);
+      return index == nullptr ? nullptr : &at(*index);
+    }
+
+    std::size_t size() const { return size_; }
+
+   private:
+    static constexpr std::uint32_t kSlabBits = 6;
+    static constexpr std::uint32_t kSlabMask = (1u << kSlabBits) - 1;
+
+    struct Slab {
+      alignas(Resource) std::byte bytes[sizeof(Resource) << kSlabBits];
+    };
+    struct KeyHash {
+      std::uint64_t operator()(std::uint64_t key) const { return key; }
+    };
+
+    std::byte* slot(std::uint32_t index) const {
+      return slabs_[index >> kSlabBits]->bytes + (index & kSlabMask) * sizeof(Resource);
+    }
+    Resource& at(std::uint32_t index) const {
+      return *std::launder(reinterpret_cast<Resource*>(slot(index)));
+    }
+
+    std::string prefix_;
+    FlatMap<std::uint64_t, std::uint32_t, KeyHash> index_;
+    std::vector<std::unique_ptr<Slab>> slabs_;
+    std::uint32_t size_ = 0;
+  };
 
   Simulation* sim_;
-  std::string name_;
   bool fine_grained_;
   Resource mmu_lock_;
   Resource meta_lock_;
-  LockMap pt_locks_;
-  LockMap rmap_locks_;
+  LazyLocks pt_locks_;
+  LazyLocks rmap_locks_;
 };
 
 }  // namespace pvm
