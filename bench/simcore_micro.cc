@@ -16,6 +16,7 @@
 #include "src/backends/platform.h"
 #include "src/core/spt_locks.h"
 #include "src/mmu/two_dim_walk.h"
+#include "src/obs/flight.h"
 #include "src/obs/prof.h"
 #include "src/obs/span.h"
 #include "src/sim/random.h"
@@ -216,9 +217,9 @@ void BM_ResourceContention(benchmark::State& state) {
 BENCHMARK(BM_ResourceContention);
 
 // Resource registry churn: 20k lazily created per-gfn rmap locks, then
-// ~SptLockSet destroying them in unordered_map iteration order, as a pvm
-// (NST) teardown does. Registering and unregistering must each be O(1); a
-// registry that searches on unregister makes the teardown quadratic.
+// ~SptLockSet destroying them in creation order, as a pvm (NST) teardown
+// does. Registering and unregistering must each be O(1); a registry that
+// searches on unregister makes the teardown quadratic.
 void BM_ResourceChurn(benchmark::State& state) {
   const auto locks = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -341,6 +342,52 @@ void BM_ProfileFold(benchmark::State& state) {
                                                     recorder.spans().size()));
 }
 BENCHMARK(BM_ProfileFold);
+
+// The always-on flight recorder's write path: events cycle over 64 tracks
+// (vCPU run loops, watchdogs, agents), and every other event is a lock
+// acquire or release whose name is interned, over 4096 names already seen,
+// as the first acquire of each SPT lock does. Items are events recorded.
+void BM_FlightRecord(benchmark::State& state) {
+  constexpr std::int64_t kTracks = 64;
+  constexpr std::size_t kLocks = 4096;
+  constexpr std::int64_t kEventsPerIteration = 1024;
+  std::vector<std::string> lock_names;
+  for (std::size_t i = 0; i < kLocks; ++i) {
+    lock_names.push_back("c0.rmap_lock." + std::to_string(i));
+  }
+  std::uint64_t now = 0;
+  std::int64_t track = 0;
+  flight::FlightRecorder recorder;
+  recorder.bind(&now, &track);
+  for (const std::string& name : lock_names) {
+    recorder.intern(name);
+  }
+  std::size_t lock = 0;
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < kEventsPerIteration; ++i) {
+      ++now;
+      track = i % kTracks;
+      switch (i % 4) {
+        case 0:
+          recorder.record(flight::EventKind::kLockAcquire,
+                          recorder.intern(lock_names[lock]));
+          break;
+        case 2:
+          recorder.record(flight::EventKind::kLockRelease,
+                          recorder.intern(lock_names[lock]));
+          lock = (lock + 1) % kLocks;
+          break;
+        default:
+          recorder.record(flight::EventKind::kSwitcherExit, 0, 0, 4);
+          break;
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(recorder.total_events());
+  state.SetItemsProcessed(state.iterations() * kEventsPerIteration);
+}
+BENCHMARK(BM_FlightRecord);
 
 // Console reporter that also feeds each benchmark's wall-clock numbers into
 // the shared BenchExport, so `--json` emits the same pvm.bench.v1 schema as

@@ -97,7 +97,7 @@ std::string_view event_kind_name(EventKind kind) {
 
 std::vector<Event> FlightRecorder::merged() const {
   std::vector<Event> all;
-  for (const auto& [track, ring] : rings_) {
+  for (const Ring& ring : rings()) {
     const std::vector<Event> events = ring.snapshot();
     all.insert(all.end(), events.begin(), events.end());
   }
@@ -213,10 +213,10 @@ std::string render_postmortem_json(const FlightRecorder& recorder, const Simulat
   }
   json.end_array();
   json.key("tracks").begin_array();
-  for (const auto& [track, ring] : recorder.rings()) {
+  for (const FlightRecorder::Ring& ring : recorder.rings()) {
     json.begin_object();
-    json.key("track").value(static_cast<std::int64_t>(track));
-    json.key("name").value(track_label(sim, track));
+    json.key("track").value(ring.track);
+    json.key("name").value(track_label(sim, ring.track));
     json.key("total").value(ring.total);
     json.key("dropped").value(ring.dropped());
     json.key("events").begin_array();

@@ -15,13 +15,17 @@
 #ifndef PVM_SRC_OBS_FLIGHT_H_
 #define PVM_SRC_OBS_FLIGHT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <ranges>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/obs/ts.h"
+#include "src/sim/flat_map.h"
 
 namespace pvm {
 
@@ -83,25 +87,27 @@ struct Event {
 class FlightRecorder {
  public:
   // Per-track ring. Capacity is fixed at ring creation (first event on that
-  // track); `total` keeps counting past wraparound so dropped() is exact.
+  // track); `cursor` is the slot the next event lands in, and `total` keeps
+  // counting past wraparound so dropped() is exact.
   struct Ring {
+    std::int64_t track = -1;
     std::vector<Event> buf;
     std::uint64_t total = 0;
     std::size_t capacity = 0;
+    std::size_t cursor = 0;
 
     std::uint64_t dropped() const { return total > capacity ? total - capacity : 0; }
 
     // Events in recording order (oldest surviving first).
     std::vector<Event> snapshot() const {
+      if (total <= capacity) {
+        return buf;
+      }
       std::vector<Event> out;
       out.reserve(buf.size());
-      if (total <= capacity) {
-        out = buf;
-      } else {
-        const std::size_t start = static_cast<std::size_t>(total % capacity);
-        out.insert(out.end(), buf.begin() + static_cast<std::ptrdiff_t>(start), buf.end());
-        out.insert(out.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(start));
-      }
+      const auto start = buf.begin() + static_cast<std::ptrdiff_t>(cursor);
+      out.insert(out.end(), start, buf.end());
+      out.insert(out.end(), buf.begin(), start);
       return out;
     }
   };
@@ -136,57 +142,69 @@ class FlightRecorder {
     if (!enabled_ || now_ == nullptr) {
       return;
     }
+    const std::int64_t track = active_root_ != nullptr ? *active_root_ : -1;
     // The seq is assigned before the ts bridge runs so histogram exemplars
     // carry the exact seq this event lands in the rings with.
     const std::uint64_t seq = next_seq_++;
     if (ts_ != nullptr) {
-      ts_->on_flight_event(*now_, active_root_ != nullptr ? *active_root_ : -1,
-                           static_cast<std::uint8_t>(kind), a, b, code, seq);
+      ts_->on_flight_event(*now_, track, static_cast<std::uint8_t>(kind), a, b, code, seq);
     }
-    Event ev;
-    ev.t = *now_;
-    ev.seq = seq;
-    ev.a = a;
-    ev.b = b;
-    ev.track = active_root_ != nullptr ? *active_root_ : -1;
-    ev.kind = kind;
-    ev.code = code;
-    Ring& ring = rings_[ev.track];
-    if (ring.capacity == 0) {
-      ring.capacity = capacity_;
-      ring.buf.reserve(ring.capacity < 64 ? ring.capacity : 64);
-    }
-    const std::size_t slot = static_cast<std::size_t>(ring.total % ring.capacity);
-    if (slot == ring.buf.size()) {
-      ring.buf.push_back(ev);
+    Ring& ring = ring_for(track);
+    const Event ev{*now_, seq, a, b, track, kind, code};
+    if (ring.cursor == ring.buf.size()) {
+      ring.buf.push_back(ev);  // still filling: the ring grows to capacity
     } else {
-      ring.buf[slot] = ev;
+      ring.buf[ring.cursor] = ev;
+    }
+    if (++ring.cursor == ring.capacity) {
+      ring.cursor = 0;
     }
     ++ring.total;
   }
 
   // Intern a lock/site name into a stable small id (payload word `a`).
-  // Ids are assigned in first-use order, which is deterministic.
+  // Ids are assigned in first-use order, which is deterministic. Each name is
+  // stored once; the index maps a name's 32-bit hash to the newest id with
+  // that hash, and same_hash_ chains the older ones.
   std::uint64_t intern(std::string_view name) {
-    auto it = name_ids_.find(name);
-    if (it != name_ids_.end()) {
-      return it->second;
+    const auto hash = static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+    const auto id = static_cast<std::uint32_t>(name_ends_.size());
+    auto [newest, inserted] = by_hash_.try_emplace(hash, id);
+    if (!inserted) {
+      for (std::uint32_t other = *newest; other != kNoName; other = same_hash_[other]) {
+        if (this->name(other) == name) {
+          return other;
+        }
+      }
     }
-    const std::uint64_t id = names_.size();
-    names_.emplace_back(name);
-    name_ids_.emplace(names_.back(), id);
+    same_hash_.push_back(inserted ? kNoName : std::exchange(*newest, id));
+    names_.append(name);
+    name_ends_.push_back(names_.size());
     return id;
   }
 
   std::string_view name(std::uint64_t id) const {
-    return id < names_.size() ? std::string_view(names_[id]) : std::string_view("?");
+    if (id >= name_ends_.size()) {
+      return "?";
+    }
+    const std::size_t begin = id == 0 ? 0 : name_ends_[id - 1];
+    return std::string_view(names_).substr(begin, name_ends_[id] - begin);
   }
 
-  const std::map<std::int64_t, Ring>& rings() const { return rings_; }
+  // The rings of every track that recorded, in ascending track order.
+  auto rings() const {
+    return std::views::filter(rings_, [](const Ring& ring) { return ring.capacity != 0; });
+  }
+
+  // `track`'s ring, or nullptr if it never recorded.
+  const Ring* ring(std::int64_t track) const {
+    const auto index = static_cast<std::size_t>(track + 1);
+    return index < rings_.size() && rings_[index].capacity != 0 ? &rings_[index] : nullptr;
+  }
 
   std::uint64_t total_events() const {
     std::uint64_t n = 0;
-    for (const auto& [track, ring] : rings_) {
+    for (const Ring& ring : rings_) {
       n += ring.total;
     }
     return n;
@@ -194,7 +212,7 @@ class FlightRecorder {
 
   std::uint64_t dropped_events() const {
     std::uint64_t n = 0;
-    for (const auto& [track, ring] : rings_) {
+    for (const Ring& ring : rings_) {
       n += ring.dropped();
     }
     return n;
@@ -209,15 +227,39 @@ class FlightRecorder {
   }
 
  private:
+  static constexpr std::uint32_t kNoName = ~0u;
+
+  struct HashKey {
+    std::uint64_t operator()(std::uint32_t hash) const { return hash; }
+  };
+
+  // Rings are indexed by track + 1 (track -1 records outside any root task),
+  // so finding one is an array index; a slot with capacity 0 has no ring yet.
+  Ring& ring_for(std::int64_t track) {
+    const auto index = static_cast<std::size_t>(track + 1);
+    if (index >= rings_.size()) {
+      rings_.resize(index + 1);
+    }
+    Ring& ring = rings_[index];
+    if (ring.capacity == 0) {
+      ring.track = track;
+      ring.capacity = capacity_;
+      ring.buf.reserve(ring.capacity < 64 ? ring.capacity : 64);
+    }
+    return ring;
+  }
+
   const std::uint64_t* now_ = nullptr;
   const std::int64_t* active_root_ = nullptr;
   ts::Collector* ts_ = nullptr;
   bool enabled_ = true;
   std::size_t capacity_ = kDefaultCapacity;
   std::uint64_t next_seq_ = 0;
-  std::map<std::int64_t, Ring> rings_;
-  std::map<std::string, std::uint64_t, std::less<>> name_ids_;
-  std::vector<std::string> names_;
+  std::vector<Ring> rings_;
+  std::string names_;                   // every interned name, back to back
+  std::vector<std::size_t> name_ends_;  // name_ends_[id]: end of name `id` in names_
+  FlatMap<std::uint32_t, std::uint32_t, HashKey> by_hash_;
+  std::vector<std::uint32_t> same_hash_;  // id -> next older id with its hash
 };
 
 // One-line human-readable rendering of an event's payload ("gva=0x... pid=2").

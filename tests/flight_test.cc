@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <ranges>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,8 +43,9 @@ TEST(FlightRingTest, WraparoundKeepsNewestAndCountsDropped) {
 
   EXPECT_EQ(recorder.total_events(), 20u);
   EXPECT_EQ(recorder.dropped_events(), 12u);
-  ASSERT_EQ(recorder.rings().size(), 1u);
-  const flight::FlightRecorder::Ring& ring = recorder.rings().at(7);
+  ASSERT_EQ(std::ranges::distance(recorder.rings()), 1);
+  ASSERT_NE(recorder.ring(7), nullptr);
+  const flight::FlightRecorder::Ring& ring = *recorder.ring(7);
   EXPECT_EQ(ring.total, 20u);
   EXPECT_EQ(ring.dropped(), 12u);
 
@@ -66,10 +71,12 @@ TEST(FlightRingTest, EventsAreAttributedToTheActiveTrack) {
   track = -1;  // outside any root task
   recorder.record(flight::EventKind::kReclaim, 5, 6);
 
-  ASSERT_EQ(recorder.rings().size(), 3u);
-  EXPECT_EQ(recorder.rings().at(0).total, 1u);
-  EXPECT_EQ(recorder.rings().at(3).total, 1u);
-  EXPECT_EQ(recorder.rings().at(-1).total, 1u);
+  ASSERT_EQ(std::ranges::distance(recorder.rings()), 3);
+  for (const std::int64_t t : {0, 3, -1}) {
+    ASSERT_NE(recorder.ring(t), nullptr) << "track " << t;
+    EXPECT_EQ(recorder.ring(t)->total, 1u);
+  }
+  EXPECT_EQ(recorder.ring(1), nullptr);
 
   // merged() interleaves the per-track rings back into execution order.
   const std::vector<flight::Event> merged = recorder.merged();
@@ -87,6 +94,166 @@ TEST(FlightRingTest, DisabledRecorderRecordsNothing) {
   recorder.set_enabled(false);
   recorder.record(flight::EventKind::kZap, 1, 2);
   EXPECT_EQ(recorder.total_events(), 0u);
+}
+
+// --- Reference model ---------------------------------------------------
+
+// Every field of an event, for whole-event comparisons.
+auto fields(const flight::Event& e) {
+  return std::tuple(e.t, e.seq, e.a, e.b, e.track, e.kind, e.code);
+}
+
+void expect_same_events(const std::vector<flight::Event>& actual,
+                        const std::vector<flight::Event>& expected, const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(fields(actual[i]), fields(expected[i])) << what << " event " << i;
+  }
+}
+
+// The recorder as a naive model: each track keeps every event it ever
+// recorded and the capacity its ring was created with; the last `capacity`
+// events survive.
+struct ReferenceTrack {
+  std::size_t capacity = 0;
+  std::vector<flight::Event> all;
+
+  std::vector<flight::Event> surviving() const {
+    const std::size_t keep = std::min(all.size(), capacity);
+    return std::vector<flight::Event>(all.end() - static_cast<std::ptrdiff_t>(keep), all.end());
+  }
+};
+
+TEST(FlightRingTest, MatchesReferenceModelAcrossTracksCapacitiesAndWraps) {
+  std::uint64_t now = 0;
+  std::int64_t track = 0;
+  flight::FlightRecorder recorder;
+  recorder.bind(&now, &track);
+
+  // Each ring's capacity is set just before its track's first event: 1 and
+  // non-powers of two. 220 interleaved events wrap every ring at least 8 times.
+  const std::map<std::int64_t, std::size_t> capacity = {{-1, 5}, {0, 1}, {3, 7}, {200, 3}};
+  const std::int64_t interleaving[] = {-1, 0, 3, 200, 3, 0, 200, -1, 3, 3, 0};
+  std::map<std::int64_t, ReferenceTrack> reference;
+  for (std::uint64_t step = 0; step < 220; ++step) {
+    track = interleaving[step % std::size(interleaving)];
+    now = 1000 + 10 * step;
+    ReferenceTrack& model = reference[track];
+    if (model.capacity == 0) {
+      model.capacity = capacity.at(track);
+      recorder.set_capacity(model.capacity);
+    }
+    const auto kind = static_cast<flight::EventKind>(step % flight::kEventKindCount);
+    const auto code = static_cast<std::uint8_t>(step % 3);
+    recorder.record(kind, step, 2 * step, code);
+    model.all.push_back(flight::Event{now, step, step, 2 * step, track, kind, code});
+  }
+
+  std::vector<std::int64_t> ring_tracks;
+  std::uint64_t total = 0;
+  std::uint64_t dropped = 0;
+  std::vector<flight::Event> surviving;
+  for (const flight::FlightRecorder::Ring& ring : recorder.rings()) {
+    ring_tracks.push_back(ring.track);
+    const ReferenceTrack& model = reference.at(ring.track);
+    const std::string what = "track " + std::to_string(ring.track);
+    ASSERT_GE(model.all.size(), 4 * model.capacity) << what;
+    EXPECT_EQ(ring.capacity, model.capacity) << what;
+    EXPECT_EQ(ring.total, model.all.size()) << what;
+    EXPECT_EQ(ring.dropped(), model.all.size() - model.capacity) << what;
+    EXPECT_EQ(recorder.ring(ring.track), &ring) << what;
+    expect_same_events(ring.snapshot(), model.surviving(), what);
+    total += model.all.size();
+    dropped += model.all.size() - model.capacity;
+    const std::vector<flight::Event> kept = model.surviving();
+    surviving.insert(surviving.end(), kept.begin(), kept.end());
+  }
+  EXPECT_EQ(ring_tracks, (std::vector<std::int64_t>{-1, 0, 3, 200}));
+  for (const std::int64_t unused : {1, 2, 199, 201, 5000}) {
+    EXPECT_EQ(recorder.ring(unused), nullptr) << "track " << unused;
+  }
+  EXPECT_EQ(recorder.total_events(), total);
+  EXPECT_EQ(recorder.dropped_events(), dropped);
+  std::sort(surviving.begin(), surviving.end(),
+            [](const flight::Event& x, const flight::Event& y) { return x.seq < y.seq; });
+  expect_same_events(recorder.merged(), surviving, "merged");
+
+  // The postmortem lists the same rings, in the same order, event for event.
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::json_parse(flight::render_postmortem_json(recorder, nullptr, "model", ""),
+                              &doc, &error))
+      << error;
+  EXPECT_EQ(doc.find("total_events")->number, static_cast<double>(total));
+  EXPECT_EQ(doc.find("dropped_events")->number, static_cast<double>(dropped));
+  const obs::JsonValue& tracks = *doc.find("tracks");
+  ASSERT_EQ(tracks.array.size(), reference.size());
+  auto model = reference.begin();
+  for (const obs::JsonValue& ring : tracks.array) {
+    const std::string what = "postmortem track " + std::to_string(model->first);
+    EXPECT_EQ(ring.find("track")->number, static_cast<double>(model->first)) << what;
+    EXPECT_EQ(ring.find("name")->string, model->first < 0 ? "<unattributed>"
+                                                          : "track#" + std::to_string(model->first))
+        << what;
+    EXPECT_EQ(ring.find("total")->number, static_cast<double>(model->second.all.size())) << what;
+    EXPECT_EQ(ring.find("dropped")->number,
+              static_cast<double>(model->second.all.size() - model->second.capacity))
+        << what;
+    const std::vector<flight::Event> kept = model->second.surviving();
+    const std::vector<obs::JsonValue>& events = ring.find("events")->array;
+    ASSERT_EQ(events.size(), kept.size()) << what;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(events[i].find("t")->number, static_cast<double>(kept[i].t)) << what;
+      EXPECT_EQ(events[i].find("seq")->number, static_cast<double>(kept[i].seq)) << what;
+      EXPECT_EQ(events[i].find("kind")->string, flight::event_kind_name(kept[i].kind)) << what;
+      EXPECT_EQ(events[i].find("a")->number, static_cast<double>(kept[i].a)) << what;
+      EXPECT_EQ(events[i].find("b")->number, static_cast<double>(kept[i].b)) << what;
+      EXPECT_EQ(events[i].find("code")->number, static_cast<double>(kept[i].code)) << what;
+    }
+    ++model;
+  }
+}
+
+TEST(FlightInternTest, IdsFollowFirstUseOrderAcrossLockAndSiteNames) {
+  flight::FlightRecorder recorder;
+  // A naive interner: the id of a name is the position of its first use.
+  std::vector<std::string> first_use;
+  auto expected_id = [&first_use](const std::string& name) {
+    const auto it = std::find(first_use.begin(), first_use.end(), name);
+    if (it != first_use.end()) {
+      return static_cast<std::uint64_t>(it - first_use.begin());
+    }
+    first_use.push_back(name);
+    return static_cast<std::uint64_t>(first_use.size() - 1);
+  };
+  // Lock names, fault-site names, an empty name and names that are prefixes
+  // of one another, each repeated after later first uses.
+  const std::vector<std::string> names = {
+      "c0.mmu_lock",      "c0.rmap_lock.1",    "exit_spike", "c0.rmap_lock.1",
+      "c0.rmap_lock.12",  "",                  "c0.pt_lock.7", "exit_spike",
+      "vmresume_failure", "c0.rmap_lock.12",   "c0.mmu_lock",  "c",
+      "",                 "migration_stall",   "c0.pt_lock.7", "c0.rmap_lock.123"};
+  for (const std::string& name : names) {
+    EXPECT_EQ(recorder.intern(name), expected_id(name)) << "\"" << name << "\"";
+  }
+  for (std::uint64_t id = 0; id < first_use.size(); ++id) {
+    EXPECT_EQ(recorder.name(id), first_use[id]);
+  }
+  EXPECT_EQ(recorder.name(first_use.size()), "?");
+
+  // Enough per-gfn lock names that some share a 32-bit hash: each keeps its
+  // own id, and every repeat resolves to the first one.
+  const std::uint64_t base = first_use.size();
+  constexpr std::uint64_t kLocks = 300000;
+  for (std::uint64_t gfn = 0; gfn < kLocks; ++gfn) {
+    ASSERT_EQ(recorder.intern("c1.rmap_lock." + std::to_string(gfn)), base + gfn);
+  }
+  for (std::uint64_t gfn = 0; gfn < kLocks; gfn += 7) {
+    const std::string name = "c1.rmap_lock." + std::to_string(gfn);
+    ASSERT_EQ(recorder.intern(name), base + gfn);
+    ASSERT_EQ(recorder.name(base + gfn), name);
+  }
+  EXPECT_EQ(recorder.intern("exit_spike"), expected_id("exit_spike"));
 }
 
 // --- Recorder determinism on a real platform ---------------------------

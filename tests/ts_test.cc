@@ -568,8 +568,8 @@ void expect_resolvable_exemplars(DeployMode mode) {
   const TsDoc doc = collector.drain();
 
   std::set<std::uint64_t> flight_seqs;
-  for (const auto& [track, ring] : platform.flight().rings()) {
-    EXPECT_EQ(ring.dropped(), 0u) << "track " << track;
+  for (const flight::FlightRecorder::Ring& ring : platform.flight().rings()) {
+    EXPECT_EQ(ring.dropped(), 0u) << "track " << ring.track;
     for (const auto& event : ring.snapshot()) {
       flight_seqs.insert(event.seq);
     }
