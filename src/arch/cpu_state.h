@@ -9,7 +9,7 @@
 #define PVM_SRC_ARCH_CPU_STATE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace pvm {
 
@@ -54,14 +54,31 @@ struct VcpuState {
   std::uint64_t idtr_base = 0;
   std::uint64_t rip = 0;
 
-  std::unordered_map<std::uint32_t, std::uint64_t> msrs;
+  // Written MSRs, in first-write order. A guest writes only a handful, and
+  // every world switch copies two VcpuStates, so a short vector (copied
+  // without a hash table's nodes) beats a map. Unwritten MSRs read as 0.
+  struct Msr {
+    MsrIndex index;
+    std::uint64_t value;
+  };
+  std::vector<Msr> msrs;
 
   std::uint64_t read_msr(MsrIndex index) const {
-    auto it = msrs.find(static_cast<std::uint32_t>(index));
-    return it == msrs.end() ? 0 : it->second;
+    for (const Msr& msr : msrs) {
+      if (msr.index == index) {
+        return msr.value;
+      }
+    }
+    return 0;
   }
   void write_msr(MsrIndex index, std::uint64_t value) {
-    msrs[static_cast<std::uint32_t>(index)] = value;
+    for (Msr& msr : msrs) {
+      if (msr.index == index) {
+        msr.value = value;
+        return;
+      }
+    }
+    msrs.push_back(Msr{index, value});
   }
 };
 

@@ -12,14 +12,17 @@ Task<void> MemoryBackendBase::access(Vcpu& vcpu, GuestProcess& proc, GuestKernel
   const GuestAccess request{gva, access, user_mode};
   const std::uint16_t pcid = access_pcid(proc, user_mode);
   obs::SpanScope op;
-  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
+    if (attempt == max_attempts_) {
+      throw std::logic_error(label_ + ": access at gva " + std::to_string(gva) +
+                             " did not converge (fault-handling bug)");
+    }
     if (proc.oom_killed()) {
       co_return;  // OOM-killed mid-access; the faulting task is abandoned
     }
     if (tlb_try(vcpu, pcid, request)) {
       co_await sim_->delay(costs_->tlb_hit);
-      co_await dirty_note(vcpu, proc, request);
-      co_return;
+      break;
     }
 
     const TwoDimWalk walk = hardware_walk(proc, request);
@@ -28,8 +31,7 @@ Task<void> MemoryBackendBase::access(Vcpu& vcpu, GuestProcess& proc, GuestKernel
       vcpu.tlb.insert(vpid_, pcid, page_number(gva),
                       Pte::make(walk.host_frame, walk.guest.pte.flags()));
       co_await sim_->delay(costs_->tlb_fill);
-      co_await dirty_note(vcpu, proc, request);
-      co_return;
+      break;
     }
     if (attempt == 0) {
       if (opens_fault_span_) {
@@ -45,8 +47,11 @@ Task<void> MemoryBackendBase::access(Vcpu& vcpu, GuestProcess& proc, GuestKernel
       co_return;
     }
   }
-  throw std::logic_error(label_ + ": access at gva " + std::to_string(gva) +
-                         " did not converge (fault-handling bug)");
+  // The access retired. Reads, untracked writes and a disarmed tracker cost
+  // this one branch, not a dirty_note coroutine frame.
+  if (dirty_ != nullptr && access == AccessType::kWrite && dirty_->armed()) {
+    co_await dirty_note(vcpu, proc, request);
+  }
 }
 
 bool MemoryBackendBase::tlb_try(Vcpu& vcpu, std::uint16_t pcid, const GuestAccess& access) {
@@ -67,9 +72,6 @@ bool MemoryBackendBase::tlb_try(Vcpu& vcpu, std::uint16_t pcid, const GuestAcces
 
 Task<void> MemoryBackendBase::dirty_note(const Vcpu& vcpu, const GuestProcess& proc,
                                          const GuestAccess& access) {
-  if (dirty_ == nullptr || access.type != AccessType::kWrite || !dirty_->armed()) {
-    co_return;
-  }
   switch (dirty_->note_store(vcpu.id, dirty_page_key(proc.pid(), access.gva))) {
     case DirtyStoreOutcome::kClean:
       co_return;

@@ -123,10 +123,10 @@ class MemoryBackendBase : public MemoryBackend {
   // permission drops the entry (the hardware re-walks on permission faults).
   bool tlb_try(Vcpu& vcpu, std::uint16_t pcid, const GuestAccess& access);
 
-  // Runs at every *successful* guest store (both the TLB-hit and the
-  // walk-OK exits of access()): records the page against the migration
-  // dirty tracker and charges whatever the active protocol makes the store
-  // cost. Reads and untracked writes fall through on the first branch.
+  // Runs at every *successful* guest store while the migration dirty
+  // tracker is armed (access() tests that first): records the page against
+  // the tracker and charges whatever the active protocol makes the store
+  // cost.
   Task<void> dirty_note(const Vcpu& vcpu, const GuestProcess& proc, const GuestAccess& access);
 
   std::string label_;

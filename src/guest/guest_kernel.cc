@@ -122,7 +122,9 @@ Task<std::optional<std::uint64_t>> GuestKernel::alloc_user_frame(Vcpu& vcpu,
         co_return frame;
       }
     }
-    if (!co_await oom_kill_largest(vcpu)) {
+    // Bound before the test: GCC 12 miscompiles `if (!co_await ...)`.
+    const bool killed = co_await oom_kill_largest(vcpu);
+    if (!killed) {
       // Nothing left worth killing; the requester itself is the last victim.
       co_await oom_kill_process(vcpu, proc);
       co_return std::nullopt;
