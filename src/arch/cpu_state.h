@@ -54,9 +54,9 @@ struct VcpuState {
   std::uint64_t idtr_base = 0;
   std::uint64_t rip = 0;
 
-  // Written MSRs, in first-write order. A guest writes only a handful, and
-  // every world switch copies two VcpuStates, so a short vector (copied
-  // without a hash table's nodes) beats a map. Unwritten MSRs read as 0.
+  // Written MSRs, in first-write order; unwritten MSRs read as 0. A guest
+  // writes only a handful, and every world switch copies two VcpuStates, so
+  // they are a short vector: a copy allocates no hash-table nodes.
   struct Msr {
     MsrIndex index;
     std::uint64_t value;

@@ -113,9 +113,6 @@ class SptLockSet {
     struct Slab {
       alignas(Resource) std::byte bytes[sizeof(Resource) << kSlabBits];
     };
-    struct KeyHash {
-      std::uint64_t operator()(std::uint64_t key) const { return key; }
-    };
 
     std::byte* slot(std::uint32_t index) const {
       return slabs_[index >> kSlabBits]->bytes + (index & kSlabMask) * sizeof(Resource);
@@ -125,7 +122,7 @@ class SptLockSet {
     }
 
     std::string prefix_;
-    FlatMap<std::uint64_t, std::uint32_t, KeyHash> index_;
+    FlatMap<std::uint64_t, std::uint32_t, IdentityHash> index_;
     std::vector<std::unique_ptr<Slab>> slabs_;
     std::uint32_t size_ = 0;
   };

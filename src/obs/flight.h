@@ -229,10 +229,6 @@ class FlightRecorder {
  private:
   static constexpr std::uint32_t kNoName = ~0u;
 
-  struct HashKey {
-    std::uint64_t operator()(std::uint32_t hash) const { return hash; }
-  };
-
   // Rings are indexed by track + 1 (track -1 records outside any root task),
   // so finding one is an array index; a slot with capacity 0 has no ring yet.
   Ring& ring_for(std::int64_t track) {
@@ -258,7 +254,7 @@ class FlightRecorder {
   std::vector<Ring> rings_;
   std::string names_;                   // every interned name, back to back
   std::vector<std::size_t> name_ends_;  // name_ends_[id]: end of name `id` in names_
-  FlatMap<std::uint32_t, std::uint32_t, HashKey> by_hash_;
+  FlatMap<std::uint32_t, std::uint32_t, IdentityHash> by_hash_;
   std::vector<std::uint32_t> same_hash_;  // id -> next older id with its hash
 };
 

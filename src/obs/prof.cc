@@ -73,10 +73,6 @@ struct Node {
 };
 
 // FlatMap mixes the key bits itself; integer keys hash as themselves.
-struct IntHash {
-  std::uint64_t operator()(std::uint64_t key) const { return key; }
-};
-
 void add_stat(PathStat* into, const PathStat& stat) {
   into->exclusive_ns += stat.exclusive_ns;
   into->count += stat.count;
@@ -113,7 +109,7 @@ struct Fold {
   };
   std::vector<PathEntry> path_table;
   // (parent << 32 | component) -> path id.
-  FlatMap<std::uint64_t, std::uint32_t, IntHash> path_ids;
+  FlatMap<std::uint64_t, std::uint32_t, IdentityHash> path_ids;
 
   struct Instance {
     std::uint64_t latency = 0;
@@ -268,7 +264,7 @@ ProfDoc fold_profile(const obs::SpanRecorder& recorder, std::size_t first_span) 
   // decides: a zero-length span closed just before a sibling that opens at
   // the same instant stays that sibling's sibling.
   fold.nodes.reserve(records.size() - first_span);
-  FlatMap<std::int64_t, std::uint32_t, IntHash> track_slots;
+  FlatMap<std::int64_t, std::uint32_t, IdentityHash> track_slots;
   std::vector<std::vector<std::uint32_t>> pending;  // per track slot: completed roots-so-far
   std::int64_t last_track = 0;
   std::uint32_t last_slot = 0;

@@ -26,6 +26,11 @@
 
 namespace pvm {
 
+// `Hash` for integer keys: the map mixes the bits itself.
+struct IdentityHash {
+  std::uint64_t operator()(std::uint64_t key) const { return key; }
+};
+
 template <typename Key, typename Value, typename Hash>
 class FlatMap {
  public:
