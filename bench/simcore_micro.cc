@@ -217,9 +217,9 @@ void BM_ResourceContention(benchmark::State& state) {
 BENCHMARK(BM_ResourceContention);
 
 // Resource registry churn: 20k lazily created per-gfn rmap locks, then
-// ~SptLockSet destroying them in creation order, as a pvm (NST) teardown
-// does. Registering and unregistering must each be O(1); a registry that
-// searches on unregister makes the teardown quadratic.
+// ~SptLockSet destroying them newest first, as a pvm (NST) teardown does.
+// Registering and unregistering must each be O(1); a registry that searches
+// on unregister makes the teardown quadratic.
 void BM_ResourceChurn(benchmark::State& state) {
   const auto locks = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {

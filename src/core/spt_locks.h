@@ -16,11 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
+#include <deque>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/sim/flat_map.h"
 #include "src/sim/resource.h"
@@ -73,58 +71,42 @@ class SptLockSet {
  private:
   // The lazily created locks of one kind, named prefix + key. A Resource is
   // linked into its Simulation's registry and awaited by address, so it must
-  // never move: locks are built in place in fixed-size slabs, in creation
-  // order, and a FlatMap maps each key to its creation index. Destruction
-  // runs in creation order.
+  // never move: a deque's emplace_back leaves existing elements in place, and
+  // a FlatMap maps each key to its creation index.
   class LazyLocks {
    public:
     explicit LazyLocks(std::string prefix) : prefix_(std::move(prefix)) {}
     LazyLocks(const LazyLocks&) = delete;
     LazyLocks& operator=(const LazyLocks&) = delete;
+    // Newest first. Freed oldest first, the newest locks and names would be
+    // the last chunks freed and would merge into the heap top, which glibc
+    // then returns to the kernel, so the next lock set page-faults it back.
     ~LazyLocks() {
-      for (std::uint32_t i = 0; i < size_; ++i) {
-        at(i).~Resource();
+      while (!locks_.empty()) {
+        locks_.pop_back();
       }
     }
 
     Resource& get(Simulation& sim, std::uint64_t key) {
-      const auto [index, inserted] = index_.try_emplace(key, size_);
-      if (inserted) {
-        if ((size_ & kSlabMask) == 0) {
-          slabs_.push_back(std::make_unique_for_overwrite<Slab>());
-        }
-        new (slot(size_)) Resource(sim, prefix_ + std::to_string(key));
-        ++size_;
+      if (const std::uint32_t* index = index_.find(key)) {
+        return locks_[*index];
       }
-      return at(*index);
+      Resource& lock = locks_.emplace_back(sim, prefix_ + std::to_string(key));
+      index_.try_emplace(key, static_cast<std::uint32_t>(locks_.size() - 1));
+      return lock;
     }
 
     const Resource* find(std::uint64_t key) const {
       const std::uint32_t* index = index_.find(key);
-      return index == nullptr ? nullptr : &at(*index);
+      return index == nullptr ? nullptr : &locks_[*index];
     }
 
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return locks_.size(); }
 
    private:
-    static constexpr std::uint32_t kSlabBits = 6;
-    static constexpr std::uint32_t kSlabMask = (1u << kSlabBits) - 1;
-
-    struct Slab {
-      alignas(Resource) std::byte bytes[sizeof(Resource) << kSlabBits];
-    };
-
-    std::byte* slot(std::uint32_t index) const {
-      return slabs_[index >> kSlabBits]->bytes + (index & kSlabMask) * sizeof(Resource);
-    }
-    Resource& at(std::uint32_t index) const {
-      return *std::launder(reinterpret_cast<Resource*>(slot(index)));
-    }
-
     std::string prefix_;
     FlatMap<std::uint64_t, std::uint32_t, IdentityHash> index_;
-    std::vector<std::unique_ptr<Slab>> slabs_;
-    std::uint32_t size_ = 0;
+    std::deque<Resource> locks_;
   };
 
   Simulation* sim_;
