@@ -10,7 +10,9 @@
 #include <map>
 #include <ranges>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -241,14 +243,28 @@ TEST(FlightInternTest, IdsFollowFirstUseOrderAcrossLockAndSiteNames) {
   }
   EXPECT_EQ(recorder.name(first_use.size()), "?");
 
-  // Enough per-gfn lock names that some share a 32-bit hash: each keeps its
-  // own id, and every repeat resolves to the first one.
+  // Enough per-gfn lock names that some share the 32-bit hash the recorder
+  // indexes by: each keeps its own id, and every repeat resolves to the
+  // first one.
   const std::uint64_t base = first_use.size();
   constexpr std::uint64_t kLocks = 300000;
+  std::unordered_map<std::uint32_t, std::uint64_t> gfn_by_hash;
+  std::size_t shared_hashes = 0;
+  std::vector<std::uint64_t> repeats;  // both gfns of each shared hash, every 7th gfn
   for (std::uint64_t gfn = 0; gfn < kLocks; ++gfn) {
-    ASSERT_EQ(recorder.intern("c1.rmap_lock." + std::to_string(gfn)), base + gfn);
+    const std::string name = "c1.rmap_lock." + std::to_string(gfn);
+    const auto hash = static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+    if (const auto [earlier, inserted] = gfn_by_hash.try_emplace(hash, gfn); !inserted) {
+      ++shared_hashes;
+      repeats.push_back(earlier->second);
+      repeats.push_back(gfn);
+    } else if (gfn % 7 == 0) {
+      repeats.push_back(gfn);
+    }
+    ASSERT_EQ(recorder.intern(name), base + gfn);
   }
-  for (std::uint64_t gfn = 0; gfn < kLocks; gfn += 7) {
+  ASSERT_GT(shared_hashes, 0u) << "no two names share a 32-bit hash";
+  for (const std::uint64_t gfn : repeats) {
     const std::string name = "c1.rmap_lock." + std::to_string(gfn);
     ASSERT_EQ(recorder.intern(name), base + gfn);
     ASSERT_EQ(recorder.name(base + gfn), name);
