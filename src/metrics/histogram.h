@@ -26,6 +26,7 @@ class LatencyHistogram {
  public:
   // bucket_index() is bit_width(v): 0 for v = 0 up to 64 for v >= 2^63.
   static constexpr std::size_t kBucketCount = 65;
+  // The most (bucket, count) pairs that keep the histogram at 80 bytes.
   static constexpr std::size_t kInlineBuckets = 4;
 
   LatencyHistogram() = default;
