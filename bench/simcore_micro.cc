@@ -216,10 +216,11 @@ void BM_ResourceContention(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceContention);
 
-// Resource registry churn: 20k lazily created per-gfn rmap locks, then
-// ~SptLockSet destroying them newest first, as a pvm (NST) teardown does.
-// Registering and unregistering must each be O(1); a registry that searches
-// on unregister makes the teardown quadratic.
+// Lock instance churn: 20k lazily created per-gfn rmap lock instances of
+// one class, then ~SptLockSet destroying them newest first, as a pvm (NST)
+// teardown does. Creating and destroying an instance must each be O(1); an
+// index that searches, or a registry entry per instance, makes the teardown
+// slow or quadratic.
 void BM_ResourceChurn(benchmark::State& state) {
   const auto locks = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -228,7 +229,7 @@ void BM_ResourceChurn(benchmark::State& state) {
     for (std::uint64_t gfn = 0; gfn < locks; ++gfn) {
       set.rmap_lock(gfn);
     }
-    benchmark::DoNotOptimize(sim.resources().size());
+    benchmark::DoNotOptimize(set.rmap_lock_class().instances());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * locks));
 }

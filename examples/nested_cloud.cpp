@@ -44,7 +44,7 @@ Outcome run_mode(DeployMode mode, int containers) {
   outcome.world_switches = platform.counters().get(Counter::kWorldSwitch);
   outcome.l0_lock_wait_ms =
       platform.l1_vm() != nullptr
-          ? static_cast<double>(platform.l1_vm()->mmu_lock().total_wait_ns()) / 1e6
+          ? static_cast<double>(platform.l1_vm()->mmu_lock().lock_class().total_wait_ns()) / 1e6
           : 0.0;
 
   // §2.3's management story: can the cloud still live-migrate the L1

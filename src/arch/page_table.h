@@ -138,9 +138,12 @@ class PageTable {
 
   std::string name_;
   FrameAllocator* allocator_;
-  // First slab holds 8 nodes (~64 KiB): a 4-level table mapping one small
-  // region needs 4; doubling reaches steady state within a few faults.
-  SlabAllocator<Node> node_slab_{8};
+  // First slab holds one node (~8 KiB), the root, and each later slab
+  // doubles, so a table reserves less than twice the nodes it uses. Most
+  // tables are small (a process's GPT and SPTs map a few regions), and
+  // their unused slots would still take heap: a first slab of 8 nodes put
+  // perfbench `apps` at 39 MiB peak RSS instead of 32.
+  SlabAllocator<Node> node_slab_{1};
   Node* root_ = nullptr;
   std::uint64_t synthetic_next_frame_ = 1ull << 40;  // out-of-band ids w/o allocator
   std::uint64_t node_count_ = 0;

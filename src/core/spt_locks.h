@@ -16,25 +16,26 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <utility>
 
-#include "src/sim/flat_map.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
 
 namespace pvm {
 
+// One lock class per lock kind, as the paper presents them: the mmu_lock and
+// the meta_lock are singletons, and the pt_locks and rmap_locks are keyed
+// classes whose instances are created on first use. Statistics are per
+// class ("vm0.rmap_lock"); an instance is named "vm0.rmap_lock.<gfn>" only
+// where a name is printed.
 class SptLockSet {
  public:
-  SptLockSet(Simulation& sim, std::string name, bool fine_grained)
-      : sim_(&sim),
-        fine_grained_(fine_grained),
+  SptLockSet(Simulation& sim, const std::string& name, bool fine_grained)
+      : fine_grained_(fine_grained),
         mmu_lock_(sim, name + ".mmu_lock"),
         meta_lock_(sim, name + ".meta_lock"),
-        pt_locks_(name + ".pt_lock."),
-        rmap_locks_(name + ".rmap_lock.") {}
+        pt_locks_(sim, name + ".pt_lock"),
+        rmap_locks_(sim, name + ".rmap_lock") {}
 
   bool fine_grained() const { return fine_grained_; }
 
@@ -47,16 +48,17 @@ class SptLockSet {
 
   // Lock guarding the PTEs of the shadow page backed by `shadow_table_frame`.
   Resource& pt_lock(std::uint64_t shadow_table_frame) {
-    return fine_grained_ ? pt_locks_.get(*sim_, shadow_table_frame) : mmu_lock_;
+    return fine_grained_ ? pt_locks_.instance(shadow_table_frame) : mmu_lock_;
   }
 
   // Lock guarding the reverse map of guest frame number `gfn`.
   Resource& rmap_lock(std::uint64_t gfn) {
-    return fine_grained_ ? rmap_locks_.get(*sim_, gfn) : mmu_lock_;
+    return fine_grained_ ? rmap_locks_.instance(gfn) : mmu_lock_;
   }
 
-  std::size_t pt_lock_count() const { return pt_locks_.size(); }
-  std::size_t rmap_lock_count() const { return rmap_locks_.size(); }
+  // The keyed classes, for their statistics and instance counts.
+  const LockClass& pt_lock_class() const { return pt_locks_; }
+  const LockClass& rmap_lock_class() const { return rmap_locks_; }
 
   // True when nothing holds or queues on `gfn`'s rmap lock (fine-grained
   // mode; a lock object that was never created has trivially no holder).
@@ -69,52 +71,11 @@ class SptLockSet {
   }
 
  private:
-  // The lazily created locks of one kind, named prefix + key. A Resource is
-  // linked into its Simulation's registry and awaited by address, so it must
-  // never move: a deque's emplace_back leaves existing elements in place, and
-  // a FlatMap maps each key to its creation index.
-  class LazyLocks {
-   public:
-    explicit LazyLocks(std::string prefix) : prefix_(std::move(prefix)) {}
-    LazyLocks(const LazyLocks&) = delete;
-    LazyLocks& operator=(const LazyLocks&) = delete;
-    // Newest first. Freed oldest first, the newest locks and names would be
-    // the last chunks freed and would merge into the heap top, which glibc
-    // then returns to the kernel, so the next lock set page-faults it back.
-    ~LazyLocks() {
-      while (!locks_.empty()) {
-        locks_.pop_back();
-      }
-    }
-
-    Resource& get(Simulation& sim, std::uint64_t key) {
-      if (const std::uint32_t* index = index_.find(key)) {
-        return locks_[*index];
-      }
-      Resource& lock = locks_.emplace_back(sim, prefix_ + std::to_string(key));
-      index_.try_emplace(key, static_cast<std::uint32_t>(locks_.size() - 1));
-      return lock;
-    }
-
-    const Resource* find(std::uint64_t key) const {
-      const std::uint32_t* index = index_.find(key);
-      return index == nullptr ? nullptr : &locks_[*index];
-    }
-
-    std::size_t size() const { return locks_.size(); }
-
-   private:
-    std::string prefix_;
-    FlatMap<std::uint64_t, std::uint32_t, IdentityHash> index_;
-    std::deque<Resource> locks_;
-  };
-
-  Simulation* sim_;
   bool fine_grained_;
   Resource mmu_lock_;
   Resource meta_lock_;
-  LazyLocks pt_locks_;
-  LazyLocks rmap_locks_;
+  LockClass pt_locks_;
+  LockClass rmap_locks_;
 };
 
 }  // namespace pvm

@@ -30,20 +30,21 @@ GuestProcess* GuestKernel::process_by_pid(std::uint64_t pid) {
   return nullptr;
 }
 
-void GuestKernel::note_cow_share(std::uint64_t frame) { ++cow_refs_[frame]; }
+void GuestKernel::note_cow_share(std::uint64_t frame) {
+  ++*cow_refs_.try_emplace(frame, 0).first;
+}
 
 int GuestKernel::cow_refs(std::uint64_t frame) const {
-  auto it = cow_refs_.find(frame);
-  return it == cow_refs_.end() ? 1 : it->second;
+  const int* refs = cow_refs_.find(frame);
+  return refs == nullptr ? 1 : *refs;
 }
 
 void GuestKernel::release_frame(std::uint64_t frame) {
-  auto it = cow_refs_.find(frame);
-  if (it != cow_refs_.end()) {
-    if (--it->second > 0) {
+  if (int* refs = cow_refs_.find(frame)) {
+    if (--*refs > 0) {
       return;  // other owners remain
     }
-    cow_refs_.erase(it);
+    cow_refs_.erase(frame);
   }
   gpa_frames_->free(frame);
 }
@@ -224,10 +225,7 @@ Task<GuestProcess*> GuestKernel::sys_fork(Vcpu& vcpu, GuestProcess& parent) {
     if (pte == nullptr || !pte->present()) {
       continue;
     }
-    if (cow_refs_.find(frame) == cow_refs_.end()) {
-      cow_refs_[frame] = 1;
-    }
-    ++cow_refs_[frame];
+    ++*cow_refs_.try_emplace(frame, 1).first;  // the parent, then the child
     if (pte->writable()) {
       co_await mem_->gpt_protect(vcpu, parent, gva, /*writable=*/false, /*mark_cow=*/true);
     }
@@ -278,7 +276,7 @@ Task<void> GuestKernel::oom_kill_process(Vcpu& vcpu, GuestProcess& victim) {
   sim_->add_diagnostic("guest OOM: killed pid " + std::to_string(victim.pid()) + " (" +
                        std::to_string(victim.data_frames().size()) + " data frames) at t=" +
                        std::to_string(sim_->now()));
-  kernel_allocs_.erase(victim.pid());
+  victim.kernel_allocs() = {};
   // The process object stays in processes_ — suspended coroutines still
   // reference it — but its frames go back and every entry point no-ops.
   co_await teardown_address_space(vcpu, victim);
@@ -332,7 +330,6 @@ Task<void> GuestKernel::sys_exit(Vcpu& vcpu, GuestProcess& proc) {
   co_await teardown_address_space(vcpu, proc);
   co_await mem_->on_process_destroyed(vcpu, proc);
   const std::uint64_t pid = proc.pid();
-  kernel_allocs_.erase(pid);
   std::erase_if(processes_,
                 [pid](const std::unique_ptr<GuestProcess>& p) { return p->pid() == pid; });
   // No syscall return: the process is gone; the scheduler switches away.
@@ -422,7 +419,7 @@ Task<void> GuestKernel::sys_file_op(Vcpu& vcpu, GuestProcess& proc, std::uint64_
   counters_->add(Counter::kSyscall);
   co_await cpu_->syscall_enter(vcpu, proc);
   co_await sim_->delay(body_ns);
-  std::deque<std::uint64_t>& allocs = kernel_allocs_[proc.pid()];
+  Fifo<std::uint64_t>& allocs = proc.kernel_allocs();
   for (int i = 0; i < fresh_pages; ++i) {
     const std::uint64_t offset = proc.take_kernel_alloc_offset();
     co_await touch_kernel(vcpu, proc, offset);
@@ -431,9 +428,13 @@ Task<void> GuestKernel::sys_file_op(Vcpu& vcpu, GuestProcess& proc, std::uint64_
   for (int i = 0; i < free_pages && !allocs.empty(); ++i) {
     const std::uint64_t gva = allocs.front();
     allocs.pop_front();
-    auto it = proc.data_frames().find(gva);
-    if (it != proc.data_frames().end()) {
-      co_await mem_->gpt_unmap(vcpu, proc, gva);
+    if (!proc.data_frames().contains(gva)) {
+      continue;
+    }
+    co_await mem_->gpt_unmap(vcpu, proc, gva);
+    // Look again: an OOM kill during the unmap took the frame map and freed
+    // the frame already.
+    if (auto it = proc.data_frames().find(gva); it != proc.data_frames().end()) {
       release_frame(it->second);
       proc.data_frames().erase(it);
     }

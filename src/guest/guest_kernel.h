@@ -11,11 +11,9 @@
 #define PVM_SRC_GUEST_GUEST_KERNEL_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/arch/cost_model.h"
@@ -24,6 +22,7 @@
 #include "src/guest/process.h"
 #include "src/guest/vcpu.h"
 #include "src/metrics/counters.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
@@ -150,9 +149,8 @@ class GuestKernel {
 
   std::uint64_t next_pid_ = 1;
   std::vector<std::unique_ptr<GuestProcess>> processes_;
-  std::unordered_map<std::uint64_t, int> cow_refs_;
-  // Outstanding fresh kernel pages per process (fifo), for sys_file_op.
-  std::unordered_map<std::uint64_t, std::deque<std::uint64_t>> kernel_allocs_;
+  // Owners of each COW-shared frame; a frame with no entry has one.
+  FlatMap<std::uint64_t, int, IdentityHash> cow_refs_;
 };
 
 }  // namespace pvm

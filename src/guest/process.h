@@ -14,6 +14,7 @@
 
 #include "src/arch/page_table.h"
 #include "src/arch/physical_memory.h"
+#include "src/sim/fifo.h"
 
 namespace pvm {
 
@@ -93,6 +94,11 @@ class GuestProcess {
     return offset;
   }
 
+  // Fresh kernel pages (gvas) that file ops allocated and have not freed
+  // yet, oldest first. The process owns the queue, so a file op suspended
+  // across an OOM kill still holds a live reference to it.
+  Fifo<std::uint64_t>& kernel_allocs() { return kernel_allocs_; }
+
  private:
   std::uint64_t pid_;
   FrameAllocator* gpa_frames_;
@@ -101,6 +107,7 @@ class GuestProcess {
   std::map<std::uint64_t, std::uint64_t> data_frames_;
   std::uint64_t next_map_va_ = kHeapBase;
   std::uint64_t kernel_alloc_offset_ = 1ull << 20;  // above the fixed kernel touches
+  Fifo<std::uint64_t> kernel_allocs_;
   bool oom_killed_ = false;
 };
 

@@ -1,11 +1,10 @@
 // Latency statistics: running aggregate plus a log-bucketed histogram.
 //
 // Used to report operation round-trip latencies (Table 1 / Table 2 style) out
-// of the simulation, and every Resource's hold and wait times. Buckets double
-// in width so percentiles across the ns..ms range stay cheap.
+// of the simulation, and every lock class's hold and wait times. Buckets
+// double in width so percentiles across the ns..ms range stay cheap.
 //
-// Most histograms see only a few distinct buckets (tens of thousands of SPT
-// locks each record a handful of similar holds), so the bucket counts live
+// Most histograms see only a few distinct buckets, so the bucket counts live
 // sparsely in place: up to kInlineBuckets (bucket, count) pairs, spilling to
 // a heap array of all 65 buckets when a new bucket arrives and the pairs are
 // full. Every statistic reads the same either way.

@@ -39,6 +39,15 @@ std::string hex(std::uint64_t value) {
 
 std::string dec(std::uint64_t value) { return std::to_string(value); }
 
+// The instance a lock_word() names: "<class>.<key>", or the class alone.
+std::string lock_name(const FlightRecorder& recorder, std::uint64_t word) {
+  std::string name(recorder.name(word & kLockClassMask));
+  if (const std::uint64_t key_plus_one = word >> kLockClassBits; key_plus_one != 0) {
+    name += "." + dec(key_plus_one - 1);
+  }
+  return name;
+}
+
 }  // namespace
 
 std::string_view switch_reason_label(std::uint8_t code) {
@@ -135,10 +144,10 @@ std::string event_detail(const FlightRecorder& recorder, const Event& event) {
     case EventKind::kGptEmulate:
       return "gpa=" + hex(event.a);
     case EventKind::kLockAcquire:
-      return "\"" + std::string(recorder.name(event.a)) + "\"" +
+      return "\"" + lock_name(recorder, event.a) + "\"" +
              (event.code == 1 ? " contended wait=" + dec(event.b) + "ns" : "");
     case EventKind::kLockRelease:
-      return "\"" + std::string(recorder.name(event.a)) + "\"";
+      return "\"" + lock_name(recorder, event.a) + "\"";
     case EventKind::kFaultInjected:
       return std::string(recorder.name(event.a));
     case EventKind::kWatchdog:

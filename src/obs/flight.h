@@ -46,9 +46,9 @@ enum class EventKind : std::uint8_t {
   kBulkZap,        // a = leaves zapped, b = pid
   kReclaim,        // a = frames reclaimed, b = shadow leaves zapped
   kGptEmulate,     // write-protected GPT store emulated; a = gpa
-  kLockAcquire,    // a = interned lock name; code = 0 uncontended,
+  kLockAcquire,    // a = lock_word(); code = 0 uncontended,
                    // 1 contended; b = virtual ns spent waiting
-  kLockRelease,    // a = interned lock name
+  kLockRelease,    // a = lock_word()
   kFaultInjected,  // a = interned site name; code = fault::FaultKind
   kWatchdog,       // a = vcpu index; code = 0 kick, 1 reset, 2 kill
   kOomKill,        // guest OOM kill; a = pid, b = data frames freed
@@ -67,6 +67,18 @@ inline constexpr std::uint8_t kExitCodeVmresumeTrap = 10;
 inline constexpr std::uint8_t kExitCodeEpt12Store = 11;
 
 std::string_view event_kind_name(EventKind kind);
+
+// Payload word `a` of kLockAcquire/kLockRelease: the lock class's interned
+// name in the low 24 bits and the instance key plus one above them. A
+// class's sole instance has key ~0, so its word is the class id alone.
+// Keys below kMaxLockKey fit.
+inline constexpr int kLockClassBits = 24;
+inline constexpr std::uint64_t kLockClassMask = (std::uint64_t{1} << kLockClassBits) - 1;
+inline constexpr std::uint64_t kMaxLockKey = (std::uint64_t{1} << (64 - kLockClassBits)) - 1;
+
+constexpr std::uint64_t lock_word(std::uint64_t class_id, std::uint64_t key) {
+  return class_id | (key + 1) << kLockClassBits;
+}
 
 // Reason labels for the codes carried by kSwitcherExit / kVmxExit events
 // ("page-fault", "ept-violation", ...; includes the pseudo codes above).

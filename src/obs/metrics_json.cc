@@ -9,8 +9,9 @@ namespace pvm::obs {
 
 namespace {
 
-// Resource contention table as a JSON array (rendered at capture time — the
-// platform that owns the resources is usually destroyed before to_json()).
+// Lock-class contention table as a JSON array, one row per class (rendered
+// at capture time — the platform that owns the classes is usually destroyed
+// before to_json()).
 std::string render_resources_json(const Simulation& sim) {
   const std::vector<ResourceStats> stats = collect_resource_stats(sim);
   JsonWriter json;
@@ -19,6 +20,7 @@ std::string render_resources_json(const Simulation& sim) {
     json.begin_object()
         .key("name").value(s.name)
         .key("capacity").value(static_cast<std::uint64_t>(s.capacity))
+        .key("instances").value(static_cast<std::uint64_t>(s.instances))
         .key("acquisitions").value(s.acquisitions)
         .key("contended").value(s.contended)
         .key("wait_total_ns").value(s.total_wait_ns)

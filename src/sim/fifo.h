@@ -1,10 +1,12 @@
 // Growable ring-buffer FIFO that allocates nothing until its first push.
 //
-// `Resource` keeps two queues — parked waiters and outstanding hold start
-// times — and the shadow engine creates tens of thousands of Resources
-// (per-gfn rmap locks, per-page pt locks) that are never contended. A
-// `std::deque` allocates its map and first block at construction, about
-// 576 B per queue; this buffer is 24 bytes inline and empty until used.
+// Every lock instance (`Resource`) keeps its parked waiters in one, and the
+// shadow engine creates tens of thousands of instances (per-gfn rmap locks,
+// per-page pt locks) that are never contended; a pool's class keeps its
+// outstanding hold starts in another, and a guest process its outstanding
+// kernel pages. A `std::deque` allocates its map and first block at
+// construction, about 576 B per queue; this buffer is 24 bytes inline and
+// empty until used.
 // Capacity is a power of two and doubles when full; it never shrinks.
 // Elements must be default-constructible and are copied, so keep them small.
 

@@ -192,22 +192,22 @@ std::size_t Simulation::pending_task_count() const {
   return pending;
 }
 
-ResourceList::iterator& ResourceList::iterator::operator++() {
+LockClassList::iterator& LockClassList::iterator::operator++() {
   at_ = at_->next_;
   return *this;
 }
 
-void ResourceList::push_back(Resource* resource) {
-  resource->prev_ = tail_;
-  resource->next_ = nullptr;
-  (tail_ != nullptr ? tail_->next_ : head_) = resource;
-  tail_ = resource;
+void LockClassList::push_back(LockClass* lock_class) {
+  lock_class->prev_ = tail_;
+  lock_class->next_ = nullptr;
+  (tail_ != nullptr ? tail_->next_ : head_) = lock_class;
+  tail_ = lock_class;
   ++size_;
 }
 
-void ResourceList::erase(Resource* resource) {
-  (resource->prev_ != nullptr ? resource->prev_->next_ : head_) = resource->next_;
-  (resource->next_ != nullptr ? resource->next_->prev_ : tail_) = resource->prev_;
+void LockClassList::erase(LockClass* lock_class) {
+  (lock_class->prev_ != nullptr ? lock_class->prev_->next_ : head_) = lock_class->next_;
+  (lock_class->next_ != nullptr ? lock_class->next_->prev_ : tail_) = lock_class->prev_;
   --size_;
 }
 
@@ -234,37 +234,41 @@ std::string Simulation::blocked_report() const {
     report += "  - \"" + root_names_[static_cast<std::size_t>(root)] + "\"";
     // Name every resource FIFO queue this root task is parked in.
     bool parked = false;
-    for (const Resource* resource : resources_) {
-      for (const auto& waiter : resource->waiters()) {
-        if (waiter.root == root) {
-          report += parked ? ", " : " waiting on ";
-          report += "\"" + resource->name() + "\" (queued " +
-                    std::to_string(now_ - waiter.enqueued) + " ns ago)";
-          parked = true;
+    for (const LockClass* lock_class : resources_) {
+      lock_class->for_each_instance([&](const Resource& resource) {
+        for (const auto& waiter : resource.waiters()) {
+          if (waiter.root == root) {
+            report += parked ? ", " : " waiting on ";
+            report += "\"" + resource.name() + "\" (queued " +
+                      std::to_string(now_ - waiter.enqueued) + " ns ago)";
+            parked = true;
+          }
         }
-      }
+      });
     }
     if (!parked) {
       report += " (not in any resource queue: lost wakeup or un-fired await)";
     }
     report += "\n";
   }
-  for (const Resource* resource : resources_) {
-    if (resource->queue_depth() == 0) {
-      continue;
-    }
-    report += "  resource \"" + resource->name() + "\": capacity " +
-              std::to_string(resource->capacity()) + ", " +
-              std::to_string(resource->queue_depth()) + " queued, ages ns [";
-    // Queue ages in FIFO order: oldest waiter first. A deadlocked queue shows
-    // monotonically decreasing ages; one stale outlier points at the waiter
-    // whose wakeup was lost.
-    bool first = true;
-    for (const auto& waiter : resource->waiters()) {
-      report += (first ? "" : ", ") + std::to_string(now_ - waiter.enqueued);
-      first = false;
-    }
-    report += "]\n";
+  for (const LockClass* lock_class : resources_) {
+    lock_class->for_each_instance([&](const Resource& resource) {
+      if (resource.queue_depth() == 0) {
+        return;
+      }
+      report += "  resource \"" + resource.name() + "\": capacity " +
+                std::to_string(lock_class->capacity()) + ", " +
+                std::to_string(resource.queue_depth()) + " queued, ages ns [";
+      // Queue ages in FIFO order: oldest waiter first. A deadlocked queue
+      // shows monotonically decreasing ages; one stale outlier points at the
+      // waiter whose wakeup was lost.
+      bool first = true;
+      for (const auto& waiter : resource.waiters()) {
+        report += (first ? "" : ", ") + std::to_string(now_ - waiter.enqueued);
+        first = false;
+      }
+      report += "]\n";
+    });
   }
   return report;
 }

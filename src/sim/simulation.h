@@ -25,7 +25,7 @@
 
 namespace pvm {
 
-class Resource;
+class LockClass;
 
 namespace obs {
 class SpanRecorder;
@@ -69,20 +69,21 @@ constexpr std::string_view schedule_policy_name(SchedulePolicy policy) {
   return "?";
 }
 
-// The live Resources of one Simulation, oldest registration first. Readers
-// (contention stats, blocked_report, bench exports, postmortems) rely on that
+// The live lock classes of one Simulation, oldest registration first: one
+// per singleton or pool Resource, and one per keyed class (an SPT lock kind).
+// Readers (contention stats, blocked_report, bench exports) rely on that
 // order for byte-identical output.
-class ResourceList {
+class LockClassList {
  public:
   class iterator {
    public:
-    explicit iterator(Resource* at) : at_(at) {}
-    Resource* operator*() const { return at_; }
+    explicit iterator(LockClass* at) : at_(at) {}
+    LockClass* operator*() const { return at_; }
     iterator& operator++();
     bool operator==(const iterator&) const = default;
 
    private:
-    Resource* at_;
+    LockClass* at_;
   };
 
   iterator begin() const { return iterator(head_); }
@@ -90,14 +91,14 @@ class ResourceList {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // O(1) append and unlink, through the links inside each Resource. A
-  // Resource calls these from its constructor and destructor.
-  void push_back(Resource* resource);
-  void erase(Resource* resource);
+  // O(1) append and unlink, through the links inside each LockClass. A
+  // LockClass calls these from its constructor and destructor.
+  void push_back(LockClass* lock_class);
+  void erase(LockClass* lock_class);
 
  private:
-  Resource* head_ = nullptr;
-  Resource* tail_ = nullptr;
+  LockClass* head_ = nullptr;
+  LockClass* tail_ = nullptr;
   std::size_t size_ = 0;
 };
 
@@ -195,10 +196,11 @@ class Simulation {
   void add_diagnostic(std::string line) { diagnostics_.push_back(std::move(line)); }
   const std::vector<std::string>& diagnostics() const { return diagnostics_; }
 
-  // Live resources, in registration order (used by contention reporting and
-  // blocked_report). A Resource registers on construction and unregisters on
-  // destruction, each in O(1): the list is threaded through the Resources.
-  const ResourceList& resources() const { return resources_; }
+  // Live lock classes, in registration order (used by contention reporting
+  // and blocked_report). A LockClass registers on construction and
+  // unregisters on destruction, each in O(1): the list is threaded through
+  // the classes. Lock instances of a keyed class are reached through it.
+  const LockClassList& resources() const { return resources_; }
 
   // Runs until the event queue is empty. Returns the number of events
   // processed. Throws if a root task terminated with an exception.
@@ -269,7 +271,7 @@ class Simulation {
   }
 
  private:
-  friend class Resource;  // links itself into resources_
+  friend class LockClass;  // links itself into resources_
 
   static const void* thread_key() {
     thread_local char key;
@@ -313,7 +315,7 @@ class Simulation {
   CalendarQueue queue_;
   std::vector<std::coroutine_handle<TaskPromise<void>>> roots_;
   std::vector<std::string> root_names_;
-  ResourceList resources_;
+  LockClassList resources_;
   std::vector<std::string> diagnostics_;
   obs::SpanRecorder* spans_ = nullptr;
   fault::FaultInjector* faults_ = nullptr;

@@ -207,6 +207,9 @@ TEST(MemoryEngineTest, CoarseModeUsesOneLock) {
   EXPECT_EQ(&locks.pt_lock(42), &locks.mmu_lock());
   EXPECT_EQ(&locks.rmap_lock(7), &locks.mmu_lock());
   EXPECT_FALSE(locks.fine_grained());
+  // The keyed classes exist but create no instance.
+  EXPECT_EQ(locks.pt_lock_class().instances(), 0u);
+  EXPECT_EQ(locks.rmap_lock_class().instances(), 0u);
 }
 
 TEST(MemoryEngineTest, FineModeSplitsLocks) {
@@ -217,8 +220,13 @@ TEST(MemoryEngineTest, FineModeSplitsLocks) {
   EXPECT_NE(&locks.pt_lock(42), &locks.pt_lock(43));
   EXPECT_EQ(&locks.pt_lock(42), &locks.pt_lock(42));  // stable per key
   EXPECT_NE(&locks.rmap_lock(7), &locks.rmap_lock(8));
-  EXPECT_EQ(locks.pt_lock_count(), 2u);
-  EXPECT_EQ(locks.rmap_lock_count(), 2u);
+  EXPECT_EQ(locks.pt_lock_class().instances(), 2u);
+  EXPECT_EQ(locks.rmap_lock_class().instances(), 2u);
+  // Each instance records into its kind's class and keeps its key.
+  EXPECT_EQ(&locks.pt_lock(42).lock_class(), &locks.pt_lock_class());
+  EXPECT_EQ(&locks.rmap_lock(7).lock_class(), &locks.rmap_lock_class());
+  EXPECT_EQ(locks.rmap_lock(7).key(), 7u);
+  EXPECT_EQ(locks.rmap_lock(7).name(), locks.rmap_lock_class().name() + ".7");
 }
 
 TEST(MemoryEngineTest, PrefaultAccountingDistinguishesFills) {

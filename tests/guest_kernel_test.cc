@@ -255,5 +255,90 @@ TEST(GuestKernelTest, FaultSurvivesOomKillDuringHandler) {
   EXPECT_EQ(h.container->gpa_frames().allocated(), frames_before - data_frames);
 }
 
+// The first fresh kernel page a process's file ops allocate.
+constexpr std::uint64_t kFirstKernelAlloc = GuestProcess::kKernelBase + (1ull << 20);
+
+bool first_kernel_alloc_mapped(GuestProcess& proc) {
+  const Pte* pte = proc.gpt().find_pte(kFirstKernelAlloc);
+  return pte != nullptr && pte->present();
+}
+
+// Frames allocated before a file op that an OOM kill interrupts. The kill
+// returns every data frame; the GPT keeps the table nodes the op added.
+struct FrameCount {
+  explicit FrameCount(KernelHarness& h)
+      : allocated(h.container->gpa_frames().allocated()),
+        data_frames(h.init().data_frames().size()),
+        gpt_nodes(h.init().gpt().node_count()) {}
+
+  std::uint64_t after_kill(KernelHarness& h) const {
+    return allocated - data_frames + (h.init().gpt().node_count() - gpt_nodes);
+  }
+
+  std::uint64_t allocated;
+  std::uint64_t data_frames;
+  std::uint64_t gpt_nodes;
+};
+
+// Waits (1 ns steps) until `ready` holds, then OOM-kills the init process
+// from `vcpu`.
+template <typename Ready>
+Task<void> oom_kill_init_when(KernelHarness& h, Vcpu& vcpu, Ready ready) {
+  while (!ready(h.init())) {
+    co_await h.platform->sim().delay(1);
+  }
+  co_await h.kernel().oom_kill_process(vcpu, h.init());
+}
+
+TEST(GuestKernelTest, FileOpSurvivesOomKillBetweenFreshPages) {
+  // A second vCPU OOM-kills the process once the file op has faulted in its
+  // first fresh kernel page; the op goes on to record that page and touch
+  // the next ones.
+  KernelHarness h;
+  Vcpu& killer = h.container->add_vcpu();
+  const FrameCount before(h);
+  ASSERT_GT(before.data_frames, 0u);
+
+  Simulation& sim = h.platform->sim();
+  sim.spawn([](KernelHarness& hh) -> Task<void> {
+    co_await hh.kernel().sys_file_op(hh.vcpu(), hh.init(), 100, /*fresh=*/4, /*free=*/0);
+  }(h));
+  sim.spawn(oom_kill_init_when(h, killer, first_kernel_alloc_mapped));
+  sim.run();
+
+  EXPECT_TRUE(sim.all_tasks_done());
+  EXPECT_TRUE(h.init().oom_killed());
+  EXPECT_TRUE(h.init().data_frames().empty());
+  // The kill returned every data frame, the fresh kernel page included.
+  EXPECT_EQ(h.container->gpa_frames().allocated(), before.after_kill(h));
+}
+
+TEST(GuestKernelTest, FileOpSurvivesOomKillBetweenFreedPages) {
+  // A second vCPU OOM-kills the process while the file op unmaps the first
+  // of its outstanding kernel pages; the teardown frees that page's frame
+  // and takes the frame map before the op resumes.
+  KernelHarness h;
+  h.run([](KernelHarness& hh) -> Task<void> {
+    co_await hh.kernel().sys_file_op(hh.vcpu(), hh.init(), 100, /*fresh=*/3, /*free=*/0);
+  }(h));
+  ASSERT_TRUE(first_kernel_alloc_mapped(h.init()));
+  Vcpu& killer = h.container->add_vcpu();
+  const FrameCount before(h);
+
+  Simulation& sim = h.platform->sim();
+  sim.spawn([](KernelHarness& hh) -> Task<void> {
+    co_await hh.kernel().sys_file_op(hh.vcpu(), hh.init(), 100, /*fresh=*/0, /*free=*/3);
+  }(h));
+  sim.spawn(oom_kill_init_when(
+      h, killer, [](GuestProcess& proc) { return !first_kernel_alloc_mapped(proc); }));
+  sim.run();
+
+  EXPECT_TRUE(sim.all_tasks_done());
+  EXPECT_TRUE(h.init().oom_killed());
+  EXPECT_TRUE(h.init().data_frames().empty());
+  // Every data frame went back exactly once.
+  EXPECT_EQ(h.container->gpa_frames().allocated(), before.after_kill(h));
+}
+
 }  // namespace
 }  // namespace pvm

@@ -192,8 +192,8 @@ TEST(HostHypervisorTest, ProtectedStoreEmulationSerializesOnL1Lock) {
     }(h, l1));
   }
   h.sim.run();
-  EXPECT_EQ(l1.mmu_lock().acquisitions(), 4u);
-  EXPECT_GT(l1.mmu_lock().total_wait_ns(), 0u);  // they overlapped and queued
+  EXPECT_EQ(l1.mmu_lock().lock_class().acquisitions(), 4u);
+  EXPECT_GT(l1.mmu_lock().lock_class().total_wait_ns(), 0u);  // they overlapped and queued
   EXPECT_EQ(h.counters.get(Counter::kL0Exit), 4u);
 }
 

@@ -183,7 +183,7 @@ TEST(MultiL1Test, ScaleOutSplitsTheL0LockDomain) {
         });
     SimTime total_wait = 0;
     for (HostHypervisor::Vm* vm : platform.l1_vms()) {
-      total_wait += vm->mmu_lock().total_wait_ns();
+      total_wait += vm->mmu_lock().lock_class().total_wait_ns();
     }
     return std::pair<double, SimTime>(result.mean_seconds(), total_wait);
   };

@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/spt_locks.h"
+#include "src/fault/fault.h"
+#include "src/metrics/histogram.h"
+#include "src/obs/flight.h"
 #include "src/sim/random.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulation.h"
@@ -299,8 +304,8 @@ TEST(ResourceTest, UncontendedAcquireDoesNotWait) {
   }(sim, lock, acquired_at));
   sim.run();
   EXPECT_EQ(acquired_at, 0u);
-  EXPECT_EQ(lock.acquisitions(), 1u);
-  EXPECT_EQ(lock.total_wait_ns(), 0u);
+  EXPECT_EQ(lock.lock_class().acquisitions(), 1u);
+  EXPECT_EQ(lock.lock_class().total_wait_ns(), 0u);
   EXPECT_TRUE(lock.available());
 }
 
@@ -319,10 +324,10 @@ TEST(ResourceTest, ContendedAcquiresSerializeFifo) {
   }
   sim.run();
   EXPECT_EQ(log, (std::vector<SimTime>{0, 100, 200, 300}));
-  EXPECT_EQ(lock.acquisitions(), 4u);
+  EXPECT_EQ(lock.lock_class().acquisitions(), 4u);
   // Waiters queued for 100+200+300 ns total.
-  EXPECT_EQ(lock.total_wait_ns(), 600u);
-  EXPECT_EQ(lock.peak_queue_depth(), 3u);
+  EXPECT_EQ(lock.lock_class().total_wait_ns(), 600u);
+  EXPECT_EQ(lock.lock_class().peak_queue_depth(), 3u);
 }
 
 TEST(ResourceTest, CapacityTwoAllowsTwoConcurrentHolders) {
@@ -393,15 +398,15 @@ TEST(ResourceTest, PoolMatchesReleasesToAcquisitionsFifo) {
     r.release();  // t=70, matches t=40: 30
   }(sim, pool));
   sim.run();
-  EXPECT_EQ(pool.acquisitions(), 4u);
-  EXPECT_EQ(pool.contended_acquisitions(), 0u);
-  EXPECT_EQ(pool.total_hold_ns(), 140u);
+  EXPECT_EQ(pool.lock_class().acquisitions(), 4u);
+  EXPECT_EQ(pool.lock_class().contended_acquisitions(), 0u);
+  EXPECT_EQ(pool.lock_class().total_hold_ns(), 140u);
   // LIFO matching would give the same total but holds {10, 10, 50, 70}.
-  const LatencyHistogram& hold = pool.hold_histogram();
+  const LatencyHistogram& hold = pool.lock_class().hold_histogram();
   EXPECT_EQ(hold.count(), 4u);
   EXPECT_EQ(hold.min(), 30u);
   EXPECT_EQ(hold.max(), 40u);
-  EXPECT_EQ(pool.wait_histogram().count(), 0u);
+  EXPECT_EQ(pool.lock_class().wait_histogram().count(), 0u);
   EXPECT_TRUE(pool.available());
 }
 
@@ -423,16 +428,17 @@ TEST(ResourceTest, DeepQueueWrapsAndStaysFifo) {
   std::vector<int> expected(12);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
-  EXPECT_EQ(lock.acquisitions(), 12u);
-  EXPECT_EQ(lock.wait_histogram().count(), lock.contended_acquisitions());
-  EXPECT_GT(lock.contended_acquisitions(), 0u);
+  const LockClass& stats = lock.lock_class();
+  EXPECT_EQ(stats.acquisitions(), 12u);
+  EXPECT_EQ(stats.wait_histogram().count(), stats.contended_acquisitions());
+  EXPECT_GT(stats.contended_acquisitions(), 0u);
   EXPECT_EQ(lock.queue_depth(), 0u);
 }
 
 std::vector<std::string> resource_names(const Simulation& sim) {
   std::vector<std::string> names;
-  for (const Resource* resource : sim.resources()) {
-    names.push_back(resource->name());
+  for (const LockClass* lock_class : sim.resources()) {
+    names.push_back(lock_class->name());
   }
   return names;
 }
@@ -485,12 +491,17 @@ TEST(ResourceRegistryTest, SptLockKeepsItsAddressAndNameAcrossRehash) {
   }
   EXPECT_EQ(&locks.rmap_lock(7), &lock);
   EXPECT_EQ(lock.name(), "vm0.rmap_lock.7");
-  EXPECT_EQ(locks.rmap_lock_count(), 10001u);
-  // mmu_lock and meta_lock, then the rmap locks in creation order.
-  EXPECT_EQ(sim.resources().size(), 10003u);
-  const std::vector<std::string> names = resource_names(sim);
-  EXPECT_EQ(names[2], "vm0.rmap_lock.7");
-  EXPECT_EQ(names[3], "vm0.rmap_lock.1000");
+  EXPECT_EQ(locks.rmap_lock_class().instances(), 10001u);
+  // The registry holds the four lock classes, not the instances.
+  EXPECT_EQ(resource_names(sim), (std::vector<std::string>{"vm0.mmu_lock", "vm0.meta_lock",
+                                                           "vm0.pt_lock", "vm0.rmap_lock"}));
+  // The class walks its instances in creation order.
+  std::vector<std::string> names;
+  locks.rmap_lock_class().for_each_instance(
+      [&](const Resource& instance) { names.push_back(instance.name()); });
+  ASSERT_EQ(names.size(), 10001u);
+  EXPECT_EQ(names[0], "vm0.rmap_lock.7");
+  EXPECT_EQ(names[1], "vm0.rmap_lock.1000");
   EXPECT_EQ(names.back(), "vm0.rmap_lock.10999");
 }
 
@@ -639,6 +650,224 @@ TEST(BlockedReportTest, EmptyWhenEverythingCompleted) {
   sim.run();
   EXPECT_TRUE(sim.all_tasks_done());
   EXPECT_TRUE(sim.blocked_report().empty());
+}
+
+// ---- Lock classes --------------------------------------------------------
+
+// A naive per-instance reference: the statistics each lock kept for itself
+// before lock classes, rebuilt from what the tasks observe.
+struct ReferenceLock {
+  std::uint64_t acquisitions = 0;
+  std::uint64_t contended = 0;
+  SimTime total_wait_ns = 0;
+  SimTime total_hold_ns = 0;
+  std::size_t queued = 0;
+  std::size_t peak_queue_depth = 0;
+  std::deque<SimTime> hold_starts;  // releases match the oldest acquisition
+  LatencyHistogram wait;
+  LatencyHistogram hold;
+};
+
+// `ops` rounds of: a short random pause (0, 5, 10 or 15 ns, so many events
+// tie), acquire a random instance, hold it 0, 10 or 20 ns, release. Half the
+// picks go to the first 8 instances so that some of them contend.
+Task<void> random_holder(Simulation& sim, const std::vector<Resource*>& locks,
+                         std::vector<ReferenceLock>& reference, std::uint64_t seed, int ops) {
+  Xoshiro256 rng(seed);
+  for (int op = 0; op < ops; ++op) {
+    co_await sim.delay(rng.next_below(4) * 5);
+    const std::size_t hot = std::min<std::size_t>(locks.size(), 8);
+    const std::size_t k =
+        rng.next_below(2) == 0 ? rng.next_below(hot) : rng.next_below(locks.size());
+    Resource& lock = *locks[k];
+    ReferenceLock& ref = reference[k];
+    const SimTime requested = sim.now();
+    const bool contended = !lock.available();
+    if (contended) {
+      ref.peak_queue_depth = std::max(ref.peak_queue_depth, ++ref.queued);
+    }
+    co_await lock.acquire();
+    if (contended) {
+      ++ref.contended;
+      ref.total_wait_ns += sim.now() - requested;
+      ref.wait.record(sim.now() - requested);
+    }
+    ++ref.acquisitions;
+    ref.hold_starts.push_back(sim.now());
+    co_await sim.delay(rng.next_below(3) * 10);
+    const SimTime held = sim.now() - ref.hold_starts.front();
+    ref.hold_starts.pop_front();
+    ref.total_hold_ns += held;
+    ref.hold.record(held);
+    if (ref.queued > 0) {
+      --ref.queued;  // the release hands the unit to the oldest waiter
+    }
+    lock.release();
+  }
+}
+
+// The class must hold exactly the sum of its instances' statistics: summed
+// totals and histogram buckets, and the deepest queue any instance had.
+void expect_class_matches_reference(const LockClass& cls,
+                                    const std::vector<ReferenceLock>& reference) {
+  std::uint64_t acquisitions = 0;
+  std::uint64_t contended = 0;
+  SimTime wait_ns = 0;
+  SimTime hold_ns = 0;
+  std::size_t peak = 0;
+  for (const ReferenceLock& ref : reference) {
+    acquisitions += ref.acquisitions;
+    contended += ref.contended;
+    wait_ns += ref.total_wait_ns;
+    hold_ns += ref.total_hold_ns;
+    peak = std::max(peak, ref.peak_queue_depth);
+  }
+  EXPECT_EQ(cls.acquisitions(), acquisitions);
+  EXPECT_EQ(cls.contended_acquisitions(), contended);
+  EXPECT_EQ(cls.total_wait_ns(), wait_ns);
+  EXPECT_EQ(cls.total_hold_ns(), hold_ns);
+  EXPECT_EQ(cls.peak_queue_depth(), peak);
+  for (const bool is_wait : {true, false}) {
+    const LatencyHistogram& merged = is_wait ? cls.wait_histogram() : cls.hold_histogram();
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    for (const ReferenceLock& ref : reference) {
+      const LatencyHistogram& one = is_wait ? ref.wait : ref.hold;
+      count += one.count();
+      sum += one.sum();
+    }
+    EXPECT_EQ(merged.count(), count) << (is_wait ? "wait" : "hold");
+    EXPECT_EQ(merged.sum(), sum) << (is_wait ? "wait" : "hold");
+    for (std::size_t bucket = 0; bucket < LatencyHistogram::kBucketCount; ++bucket) {
+      std::uint64_t expected = 0;
+      for (const ReferenceLock& ref : reference) {
+        expected += (is_wait ? ref.wait : ref.hold).bucket_count(bucket);
+      }
+      EXPECT_EQ(merged.bucket_count(bucket), expected)
+          << (is_wait ? "wait" : "hold") << " bucket " << bucket;
+    }
+  }
+}
+
+class LockClassProperty : public ::testing::TestWithParam<SchedulePolicy> {};
+
+TEST_P(LockClassProperty, KeyedClassSumsItsInstances) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Simulation sim;
+    sim.set_schedule_policy(GetParam(), seed);
+    LockClass rmap_locks(sim, "vm0.rmap_lock");
+    // Many sparse keys, so the instance index rehashes several times.
+    Xoshiro256 keys(seed * 977);
+    std::vector<Resource*> locks;
+    for (int i = 0; i < 600; ++i) {
+      locks.push_back(&rmap_locks.instance(keys.next_below(flight::kMaxLockKey)));
+    }
+    std::vector<ReferenceLock> reference(locks.size());
+    for (std::uint64_t task = 0; task < 24; ++task) {
+      sim.spawn(random_holder(sim, locks, reference, seed * 100 + task, 40));
+    }
+    sim.run();
+    ASSERT_TRUE(sim.all_tasks_done());
+    EXPECT_EQ(rmap_locks.instances(), locks.size());
+    EXPECT_GT(rmap_locks.contended_acquisitions(), 0u);
+    expect_class_matches_reference(rmap_locks, reference);
+    for (Resource* lock : locks) {
+      EXPECT_EQ(rmap_locks.find(lock->key()), lock);
+    }
+  }
+}
+
+TEST_P(LockClassProperty, PoolIsItsOwnClass) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Simulation sim;
+    sim.set_schedule_policy(GetParam(), seed);
+    Resource pool(sim, "pool", 4);
+    const std::vector<Resource*> locks{&pool};
+    std::vector<ReferenceLock> reference(1);
+    for (std::uint64_t task = 0; task < 12; ++task) {
+      sim.spawn(random_holder(sim, locks, reference, seed * 100 + task, 30));
+    }
+    sim.run();
+    ASSERT_TRUE(sim.all_tasks_done());
+    EXPECT_EQ(pool.lock_class().instances(), 1u);
+    EXPECT_EQ(pool.lock_class().capacity(), 4u);
+    EXPECT_GT(pool.lock_class().contended_acquisitions(), 0u);
+    expect_class_matches_reference(pool.lock_class(), reference);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, LockClassProperty,
+                         ::testing::Values(SchedulePolicy::kFifo, SchedulePolicy::kRandom,
+                                           SchedulePolicy::kLifo),
+                         [](const ::testing::TestParamInfo<SchedulePolicy>& policy) {
+                           return std::string(schedule_policy_name(policy.param));
+                         });
+
+// Holds `lock` from t=0 to t=10.
+Task<void> hold_first(Simulation& sim, Resource& lock) {
+  ScopedResource guard = co_await lock.scoped();
+  co_await sim.delay(10);
+}
+
+// Queues on `lock` at t=1 and records when the handoff arrives.
+Task<void> acquire_second(Simulation& sim, Resource& lock, SimTime& acquired) {
+  co_await sim.delay(1);
+  ScopedResource guard = co_await lock.scoped();
+  acquired = sim.now();
+}
+
+TEST(LockClassTest, HandoffDelayTargetsOneInstanceByName) {
+  Simulation sim;
+  fault::FaultPlan plan;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kLockHandoffDelay;
+  spec.target = "rmap_lock.7";
+  spec.delay_ns = 1000;
+  plan.specs.push_back(spec);
+  fault::FaultInjector faults;
+  faults.arm(plan);
+  sim.set_faults(&faults);
+  SptLockSet locks(sim, "vm0", /*fine_grained=*/true);
+  // "rmap_lock.7" is a substring of no other lock's name here.
+  std::vector<std::pair<Resource*, SimTime>> handoffs;
+  for (const std::uint64_t gfn : {1, 7, 17, 27, 107}) {
+    handoffs.emplace_back(&locks.rmap_lock(gfn), 0);
+  }
+  handoffs.emplace_back(&locks.pt_lock(7), 0);
+  handoffs.emplace_back(&locks.meta_lock(), 0);
+  for (auto& [lock, acquired] : handoffs) {
+    sim.spawn(hold_first(sim, *lock));
+    sim.spawn(acquire_second(sim, *lock, acquired));
+  }
+  sim.run();
+  ASSERT_TRUE(sim.all_tasks_done());
+  for (const auto& [lock, acquired] : handoffs) {
+    EXPECT_EQ(acquired, lock->name() == "vm0.rmap_lock.7" ? 1010u : 10u) << lock->name();
+  }
+  EXPECT_EQ(faults.fired(fault::FaultKind::kLockHandoffDelay), 1u);
+  EXPECT_EQ(locks.rmap_lock_class().contended_acquisitions(), 5u);
+}
+
+TEST(LockClassTest, BlockedReportNamesTheParkedInstance) {
+  Simulation sim;
+  SptLockSet locks(sim, "vm0", /*fine_grained=*/true);
+  locks.rmap_lock(3);  // an idle instance the report skips
+  sim.spawn([](Resource& lock) -> Task<void> { co_await lock.acquire(); }(locks.rmap_lock(42)),
+            "holder");  // returns without releasing
+  sim.spawn(
+      [](Simulation& s, Resource& lock) -> Task<void> {
+        co_await s.delay(5);
+        ScopedResource guard = co_await lock.scoped();
+      }(sim, locks.rmap_lock(42)),
+      "waiter");
+  sim.run();
+  EXPECT_EQ(sim.blocked_report(),
+            "1/2 root tasks pending:\n"
+            "  - \"waiter\" waiting on \"vm0.rmap_lock.42\" (queued 0 ns ago)\n"
+            "  resource \"vm0.rmap_lock.42\": capacity 1, 1 queued, ages ns [0]\n");
+  sim.abandon_pending();
 }
 
 TEST(RandomTest, ReproducibleStreams) {
