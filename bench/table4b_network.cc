@@ -23,9 +23,9 @@ OpLatency latency_us(const std::string& label, const PlatformConfig& config, Lmb
   platform.sim().spawn(c.boot(64));
   platform.sim().run();
   std::uint64_t latency = 0;
-  LatencyHistogram histogram;
+  MergeableHistogram histogram;
   platform.sim().spawn([](SecureContainer& cc, LmbenchOp o, int iters, std::uint64_t* out,
-                          LatencyHistogram* hist) -> Task<void> {
+                          MergeableHistogram* hist) -> Task<void> {
     *out = co_await lmbench_run(cc, cc.vcpu(0), *cc.init_process(), o, iters, LmbenchParams{},
                                 hist);
   }(c, op, iterations, &latency, &histogram));
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     for (const auto& op : kOps) {
       const OpLatency latency = latency_us(scenario.label + "/" + op.name, scenario.config,
                                            op.op, op.iterations, hooks);
-      row.push_back(TextTable::cell(latency.mean_us) + " (p99<" +
+      row.push_back(TextTable::cell(latency.mean_us) + " (p99<=" +
                     TextTable::cell(latency.p99_us, 0) + ")");
     }
     table.add_row(std::move(row));

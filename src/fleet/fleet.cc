@@ -387,7 +387,7 @@ void render_rollup(obs::JsonWriter& w, const ts::TsDoc& rollup) {
   w.end_object();
   w.key("latency").begin_object();
   for (const auto& [name, hist] : rollup.hists) {
-    const ts::MergeableHistogram h = hist.cumulative();
+    const MergeableHistogram h = hist.cumulative();
     w.key(name).begin_object();
     w.key("count").value(h.count());
     w.key("p50").value(h.quantile(0.50));

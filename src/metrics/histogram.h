@@ -1,152 +1,139 @@
-// Latency statistics: running aggregate plus a log-bucketed histogram.
+// Latency histogram: running aggregate plus mergeable log-bucketed counts.
 //
-// Used to report operation round-trip latencies (Table 1 / Table 2 style) out
-// of the simulation, and every lock class's hold and wait times. Buckets
-// double in width so percentiles across the ns..ms range stay cheap.
+// The one histogram every latency goes through: lock classes' wait and hold
+// times, span operation latencies (Table 1 / Table 2 style), pvm-stat rows,
+// LMbench tails, and the timeseries, profile and fleet documents.
 //
-// Most histograms see only a few distinct buckets, so the bucket counts live
-// sparsely in place: up to kInlineBuckets (bucket, count) pairs, spilling to
-// a heap array of all 65 buckets when a new bucket arrives and the pairs are
-// full. Every statistic reads the same either way.
+// Values land in fixed, data-independent buckets (HDR-style): exact below
+// 2^kSubBits, then 2^kSubBits sub-buckets per power of two, so above 8 a
+// bucket is an eighth of an octave wide. Fixed boundaries make merge()
+// element-wise addition — associative, commutative, and byte-reproducible —
+// so sharded sweeps can aggregate per-shard histograms and get exactly the
+// histogram a single-stream run would have produced. quantile() is exact to
+// one bucket width (relative error <= 2^-kSubBits = 12.5%) and never reports
+// more than the largest sample.
+//
+// No samples are stored. The counts live in one flat vector over the
+// touched index range, whose first and last counts are never zero: a record
+// inside the range is an index computation and an add, and the range grows
+// only when a sample lands outside it (at most kMaxIndex + 1 slots).
 
 #ifndef PVM_SRC_METRICS_HISTOGRAM_H_
 #define PVM_SRC_METRICS_HISTOGRAM_H_
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <map>
+#include <vector>
 
 namespace pvm {
 
-class LatencyHistogram {
+class MergeableHistogram {
  public:
-  // bucket_index() is bit_width(v): 0 for v = 0 up to 64 for v >= 2^63.
-  static constexpr std::size_t kBucketCount = 65;
-  // The most (bucket, count) pairs that keep the histogram at 80 bytes.
-  static constexpr std::size_t kInlineBuckets = 4;
+  // Sub-bucket resolution: each power-of-two range splits into 2^kSubBits
+  // buckets, bounding quantile error to one part in 2^kSubBits.
+  static constexpr unsigned kSubBits = 3;
+  // The largest bucket index, bucket_index(~0ull).
+  static constexpr std::uint32_t kMaxIndex = 495;
 
-  LatencyHistogram() = default;
-  LatencyHistogram(const LatencyHistogram& other)
-      : count_(other.count_),
-        sum_(other.sum_),
-        min_(other.min_),
-        max_(other.max_),
-        inline_counts_(other.inline_counts_),
-        inline_buckets_(other.inline_buckets_),
-        inline_used_(other.inline_used_),
-        dense_(other.dense_ ? std::make_unique<DenseBuckets>(*other.dense_) : nullptr) {}
-  LatencyHistogram& operator=(const LatencyHistogram& other) {
-    if (this != &other) {
-      *this = LatencyHistogram(other);
+  // Bucket index for value `v`. Total order preserving: v <= w implies
+  // bucket_index(v) <= bucket_index(w).
+  static constexpr std::uint32_t bucket_index(std::uint64_t v) {
+    if (v < kSub) {
+      return static_cast<std::uint32_t>(v);
     }
-    return *this;
+    // v in [2^e, 2^(e+1)): keep the top kSubBits+1 bits; the leading bit is
+    // implicit in the exponent, the rest select the sub-bucket.
+    const unsigned shift = static_cast<unsigned>(std::bit_width(v)) - 1 - kSubBits;
+    return static_cast<std::uint32_t>((shift << kSubBits) + (v >> shift));
   }
-  LatencyHistogram(LatencyHistogram&&) noexcept = default;
-  LatencyHistogram& operator=(LatencyHistogram&&) noexcept = default;
 
-  void record(std::uint64_t value_ns) {
-    ++count_;
-    sum_ += value_ns;
-    min_ = std::min(min_, value_ns);
-    max_ = std::max(max_, value_ns);
-    add_to_bucket(bucket_index(value_ns));
+  // True if `x`, a number read from a document, names a bucket: an integer
+  // in [0, kMaxIndex]. Imports check every index before from_parts().
+  static bool is_bucket_index(double x) {
+    return x >= 0.0 && x <= kMaxIndex && x == static_cast<double>(static_cast<std::uint32_t>(x));
   }
+
+  // Smallest / largest value mapping to bucket `index` (<= kMaxIndex).
+  static std::uint64_t bucket_lower_bound(std::uint32_t index);
+  static std::uint64_t bucket_upper_bound(std::uint32_t index);
+
+  void record(std::uint64_t value, std::uint64_t weight = 1) {
+    if (weight == 0) {
+      return;
+    }
+    const std::uint32_t index = bucket_index(value);
+    // Wraps past the range's size when index < first_.
+    const std::size_t slot = index - first_;
+    if (slot < counts_.size()) {
+      counts_[slot] += weight;
+    } else {
+      cover(index, index);
+      counts_[index - first_] = weight;
+    }
+    count_ += weight;
+    sum_ += value * weight;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
+
+  // Element-wise bucket addition plus count/sum/min/max combination.
+  void merge(const MergeableHistogram& other);
 
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
   std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
   std::uint64_t max() const { return max_; }
-
   double mean() const {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
-  // Samples recorded into bucket `index` (< kBucketCount).
-  std::uint64_t bucket_count(std::size_t index) const {
-    if (dense_) {
-      return (*dense_)[index];
-    }
-    for (std::uint8_t i = 0; i < inline_used_; ++i) {
-      if (inline_buckets_[i] == index) {
-        return inline_counts_[i];
+  // Value at quantile q in [0, 1]: upper bound of the bucket holding the
+  // rank-ceil(q*count) sample, clamped to the observed max so point
+  // distributions and q=1 report exactly. Returns 0 on an empty histogram.
+  std::uint64_t quantile(double q) const;
+
+  // Visits every nonzero bucket as fn(index, count), ascending by index.
+  template <typename Fn>
+  void for_each_bucket(Fn fn) const {
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      if (counts_[i] != 0) {
+        fn(static_cast<std::uint32_t>(first_ + i), counts_[i]);
       }
     }
-    return 0;
   }
 
-  // Upper bound of the bucket holding the q-quantile (0 < q <= 1). Exact for
-  // point distributions (all values equal), approximate otherwise.
-  std::uint64_t quantile(double q) const {
-    if (count_ == 0) {
-      return 0;
-    }
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      seen += bucket_count(i);
-      if (seen > target || seen == count_) {
-        return bucket_upper_bound(i);
-      }
-    }
-    return max_;
-  }
+  void reset() { *this = MergeableHistogram(); }
 
-  void reset() { *this = LatencyHistogram(); }
+  // Rebuilds a histogram from serialized parts (JSON import); every index
+  // must be at most kMaxIndex. min/max are carried explicitly because bucket
+  // bounds only bracket them.
+  static MergeableHistogram from_parts(std::uint64_t count, std::uint64_t sum,
+                                       std::uint64_t min, std::uint64_t max,
+                                       const std::map<std::uint32_t, std::uint64_t>& buckets);
 
-  static std::size_t bucket_index(std::uint64_t value) {
-    if (value == 0) {
-      return 0;
-    }
-    return static_cast<std::size_t>(std::bit_width(value));
-  }
-
-  static std::uint64_t bucket_upper_bound(std::size_t index) {
-    if (index >= 64) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    return (1ull << index) - 1;
-  }
+  // Equal statistics and equal nonzero buckets: the range's ends are never
+  // zero, so equal contents store equal vectors.
+  bool operator==(const MergeableHistogram&) const = default;
 
  private:
-  using DenseBuckets = std::array<std::uint64_t, kBucketCount>;
+  static constexpr std::uint64_t kSub = 1ull << kSubBits;
 
-  void add_to_bucket(std::size_t index) {
-    if (dense_) {
-      ++(*dense_)[index];
-      return;
-    }
-    for (std::uint8_t i = 0; i < inline_used_; ++i) {
-      if (inline_buckets_[i] == index) {
-        ++inline_counts_[i];
-        return;
-      }
-    }
-    if (inline_used_ < kInlineBuckets) {
-      inline_buckets_[inline_used_] = static_cast<std::uint8_t>(index);
-      inline_counts_[inline_used_] = 1;
-      ++inline_used_;
-      return;
-    }
-    dense_ = std::make_unique<DenseBuckets>();
-    for (std::uint8_t i = 0; i < inline_used_; ++i) {
-      (*dense_)[inline_buckets_[i]] = inline_counts_[i];
-    }
-    ++(*dense_)[index];
-  }
+  // Widens the counted range to include [lo, hi], with zero counts in the
+  // new slots; the caller then puts nonzero counts at any new end.
+  void cover(std::uint32_t lo, std::uint32_t hi);
 
+  std::vector<std::uint64_t> counts_;  // counts_[i] is bucket first_ + i
+  std::uint32_t first_ = 0;            // 0 while counts_ is empty
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_ = 0;
-  // Sparse counts, in first-use order; unused once dense_ exists.
-  std::array<std::uint64_t, kInlineBuckets> inline_counts_{};
-  std::array<std::uint8_t, kInlineBuckets> inline_buckets_{};
-  std::uint8_t inline_used_ = 0;
-  std::unique_ptr<DenseBuckets> dense_;
 };
+
+static_assert(MergeableHistogram::bucket_index(~0ull) == MergeableHistogram::kMaxIndex);
 
 }  // namespace pvm
 

@@ -22,11 +22,11 @@ std::vector<ResourceStats> collect_resource_stats(const Simulation& sim) {
     s.total_wait_ns = lock_class->total_wait_ns();
     s.total_hold_ns = lock_class->total_hold_ns();
     s.peak_queue_depth = lock_class->peak_queue_depth();
-    const LatencyHistogram& wait = lock_class->wait_histogram();
+    const MergeableHistogram& wait = lock_class->wait_histogram();
     s.wait_p50_ns = wait.quantile(0.50);
     s.wait_p95_ns = wait.quantile(0.95);
     s.wait_p99_ns = wait.quantile(0.99);
-    const LatencyHistogram& hold = lock_class->hold_histogram();
+    const MergeableHistogram& hold = lock_class->hold_histogram();
     s.hold_p50_ns = hold.quantile(0.50);
     s.hold_p95_ns = hold.quantile(0.95);
     s.hold_p99_ns = hold.quantile(0.99);

@@ -61,7 +61,7 @@ std::string render_spans_json(const SpanRecorder& recorder) {
     if (!phase_is_op(op)) {
       continue;
     }
-    const LatencyHistogram& hist = recorder.op_latency(op);
+    const MergeableHistogram& hist = recorder.op_latency(op);
     if (hist.count() == 0) {
       continue;
     }

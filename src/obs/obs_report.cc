@@ -57,7 +57,7 @@ std::string render_obs_report(const Simulation& sim, const SpanRecorder* recorde
     if (!phase_is_op(op)) {
       continue;
     }
-    const LatencyHistogram& hist = recorder->op_latency(op);
+    const MergeableHistogram& hist = recorder->op_latency(op);
     if (hist.count() == 0) {
       continue;
     }

@@ -448,9 +448,9 @@ std::string render_profile_json(const ProfDoc& doc) {
     w.key("p50_ns").value(profile.latency.quantile(0.50));
     w.key("p99_ns").value(profile.latency.quantile(0.99));
     w.key("buckets").begin_array();
-    for (const auto& [index, n] : profile.latency.buckets()) {
+    profile.latency.for_each_bucket([&w](std::uint32_t index, std::uint64_t n) {
       w.begin_array().value(static_cast<std::uint64_t>(index)).value(n).end_array();
-    }
+    });
     w.end_array();
     w.key("tail_threshold_ns").value(profile.tail_threshold_ns);
     w.key("worst_ns").value(profile.worst_ns);
@@ -535,13 +535,14 @@ bool parse_profile_json(std::string_view text, ProfDoc* out, std::string* error)
     OpProfile profile;
     std::map<std::uint32_t, std::uint64_t> parsed;
     for (const obs::JsonValue& pair : buckets->array) {
-      if (!pair.is_array() || pair.array.size() != 2) {
+      if (!pair.is_array() || pair.array.size() != 2 || !pair.array[0].is_number() ||
+          !MergeableHistogram::is_bucket_index(pair.array[0].number)) {
         return fail("malformed bucket pair in op " + name->string);
       }
-      parsed[static_cast<std::uint32_t>(as_u64(pair.array[0]))] = as_u64(pair.array[1]);
+      parsed[static_cast<std::uint32_t>(pair.array[0].number)] = as_u64(pair.array[1]);
     }
-    profile.latency = ts::MergeableHistogram::from_parts(
-        as_u64(*count), as_u64(*sum), as_u64(*min), as_u64(*max), std::move(parsed));
+    profile.latency = MergeableHistogram::from_parts(as_u64(*count), as_u64(*sum), as_u64(*min),
+                                                     as_u64(*max), parsed);
     if (const obs::JsonValue* v = entry.find("tail_threshold_ns")) {
       profile.tail_threshold_ns = as_u64(*v);
     }

@@ -39,7 +39,7 @@
 #include <string>
 #include <string_view>
 
-#include "src/obs/hist.h"
+#include "src/metrics/histogram.h"
 
 namespace pvm::obs {
 class SpanRecorder;
@@ -61,7 +61,7 @@ struct PathStat {
 // Everything aggregated about one operation kind (one ops-map key).
 struct OpProfile {
   // End-to-end latency of every instance (mergeable: fixed bucket bounds).
-  ts::MergeableHistogram latency;
+  MergeableHistogram latency;
   // Phase-path -> exclusive time, over all instances. Keys start with the
   // op's root phase name ("op.page_fault;spt_fill;lock_wait:mmu_lock").
   std::map<std::string, PathStat> paths;

@@ -20,7 +20,8 @@
 // recorder is attached (the default) instrumented code paths pay one null
 // pointer check; when attached but disabled, one extra bool load.
 //
-// Header-only with no link dependencies so src/sim can include it.
+// Header-only; its one link dependency is pvm_metrics (the histogram), which
+// src/sim links too, so src/sim can include it.
 
 #ifndef PVM_SRC_OBS_SPAN_H_
 #define PVM_SRC_OBS_SPAN_H_
@@ -130,7 +131,7 @@ class SpanRecorder {
   }
 
   // End-to-end latency histogram of one operation kind.
-  const LatencyHistogram& op_latency(Phase op) const {
+  const MergeableHistogram& op_latency(Phase op) const {
     return op_latency_[static_cast<std::size_t>(op)];
   }
 
@@ -257,7 +258,7 @@ class SpanRecorder {
   std::array<PhaseStat, kPhaseCount> phase_stats_{};
   // Row = op (kCount row collects phases outside any op); column = phase.
   std::array<std::array<TimeNs, kPhaseCount>, kPhaseCount + 1> matrix_{};
-  std::array<LatencyHistogram, kPhaseCount> op_latency_{};
+  std::array<MergeableHistogram, kPhaseCount> op_latency_{};
 };
 
 // RAII span: opens on construction (when a recorder is attached and enabled),

@@ -505,9 +505,9 @@ std::string render_timeseries_json(const TsDoc& doc) {
       w.key("min").value(wh.min());
       w.key("max").value(wh.max());
       w.key("buckets").begin_array();
-      for (const auto& [index, n] : wh.buckets()) {
+      wh.for_each_bucket([&w](std::uint32_t index, std::uint64_t n) {
         w.begin_array().value(static_cast<std::uint64_t>(index)).value(n).end_array();
-      }
+      });
       w.end_array();
       w.end_object();
     }
@@ -644,17 +644,15 @@ bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error
         }
         std::map<std::uint32_t, std::uint64_t> parsed;
         for (const obs::JsonValue& pair : buckets->array) {
-          if (pair.array.size() != 2) {
+          if (pair.array.size() != 2 || !pair.array[0].is_number() ||
+              !MergeableHistogram::is_bucket_index(pair.array[0].number)) {
             return fail("malformed hist bucket");
           }
-          parsed[static_cast<std::uint32_t>(as_u64(pair.array[0]))] =
-              as_u64(pair.array[1]);
+          parsed[static_cast<std::uint32_t>(pair.array[0].number)] = as_u64(pair.array[1]);
         }
-        h.windows.emplace(
-            as_u64(*w),
-            MergeableHistogram::from_parts(as_u64(*count), as_u64(*sum),
-                                           as_u64(*min), as_u64(*max),
-                                           std::move(parsed)));
+        h.windows.emplace(as_u64(*w),
+                          MergeableHistogram::from_parts(as_u64(*count), as_u64(*sum),
+                                                         as_u64(*min), as_u64(*max), parsed));
       }
       doc.hists.emplace(name->string, std::move(h));
     }

@@ -25,7 +25,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/obs/hist.h"
+#include "src/metrics/histogram.h"
 
 namespace pvm::obs {
 class JsonValue;

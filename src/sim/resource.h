@@ -109,13 +109,9 @@ class LockClass {
   // The deepest any one instance's waiter queue has been.
   std::size_t peak_queue_depth() const { return peak_queue_depth_; }
   // Distribution of contended waits (uncontended acquisitions are not
-  // recorded: the interesting signal is queueing, not the fast path). Empty
-  // until the first contended acquire allocates it.
-  const LatencyHistogram& wait_histogram() const {
-    static const LatencyHistogram kNoWaits;
-    return wait_hist_ ? *wait_hist_ : kNoWaits;
-  }
-  const LatencyHistogram& hold_histogram() const { return hold_hist_; }
+  // recorded: the interesting signal is queueing, not the fast path).
+  const MergeableHistogram& wait_histogram() const { return wait_hist_; }
+  const MergeableHistogram& hold_histogram() const { return hold_hist_; }
 
   // The name of instance `key`: "<class>.<key>", or the class name alone
   // for a singleton's instance (Resource::kNoKey).
@@ -154,8 +150,8 @@ class LockClass {
   SimTime total_wait_ns_ = 0;
   SimTime total_hold_ns_ = 0;
   std::size_t peak_queue_depth_ = 0;
-  std::unique_ptr<LatencyHistogram> wait_hist_;
-  LatencyHistogram hold_hist_;
+  MergeableHistogram wait_hist_;
+  MergeableHistogram hold_hist_;
   // A pool's outstanding acquisitions, oldest first. Only singletons can be
   // pools, so these are its one instance's; a lock keeps its one hold start
   // inline instead.
@@ -227,10 +223,7 @@ class Resource {
         ++lock_class.contended_acquisitions_;
         const SimTime wait = sim.now() - enqueue_time;
         lock_class.total_wait_ns_ += wait;
-        if (!lock_class.wait_hist_) {
-          lock_class.wait_hist_ = std::make_unique<LatencyHistogram>();
-        }
-        lock_class.wait_hist_->record(wait);
+        lock_class.wait_hist_.record(wait);
         if (wait_span.valid()) {
           if (obs::SpanRecorder* spans = sim.spans()) {
             spans->end_lock_wait(wait_span, resource->name());

@@ -180,7 +180,7 @@ bool collect_timeseries(const std::string& text, const std::string& path,
     out->push_back(std::move(rm));
   }
   for (const auto& [name, hist] : doc.hists) {
-    const ts::MergeableHistogram h = hist.cumulative();
+    const MergeableHistogram h = hist.cumulative();
     if (h.count() == 0) {
       continue;
     }

@@ -50,7 +50,7 @@ struct StatOptions {
 struct Row {
   std::string cls;
   std::string reason;
-  LatencyHistogram latency;
+  MergeableHistogram latency;
 };
 
 struct ModeStats {
@@ -106,7 +106,7 @@ ModeStats run_mode(DeployMode mode, const StatOptions& options) {
   stats.events = platform.flight().total_events();
   stats.dropped = platform.flight().dropped_events();
 
-  std::map<std::pair<int, int>, LatencyHistogram> rows;
+  std::map<std::pair<int, int>, MergeableHistogram> rows;
   // Per-track open exit awaiting its entry, per class (a vmx roundtrip can
   // nest inside a switcher exit window, so the classes pair independently).
   std::map<std::int64_t, const flight::Event*> open_switch;

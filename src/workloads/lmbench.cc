@@ -242,7 +242,7 @@ Task<void> one_iteration(SecureContainer& container, Vcpu& vcpu, GuestProcess& p
 
 Task<std::uint64_t> lmbench_run(SecureContainer& container, Vcpu& vcpu, GuestProcess& proc,
                                 LmbenchOp op, int iterations, const LmbenchParams& params,
-                                LatencyHistogram* histogram) {
+                                MergeableHistogram* histogram) {
   Simulation& sim = container.sim();
   // One warm-up iteration outside the timed window (as lmbench does).
   co_await one_iteration(container, vcpu, proc, op, params, 0);

@@ -57,7 +57,7 @@ struct LmbenchParams {
 // each iteration's latency is recorded (for tail-latency reporting).
 Task<std::uint64_t> lmbench_run(SecureContainer& container, Vcpu& vcpu, GuestProcess& proc,
                                 LmbenchOp op, int iterations, const LmbenchParams& params,
-                                LatencyHistogram* histogram = nullptr);
+                                MergeableHistogram* histogram = nullptr);
 
 }  // namespace pvm
 

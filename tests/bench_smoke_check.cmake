@@ -9,8 +9,10 @@
 # (CI uploads that directory). Each export must be a pvm.bench.v1 document
 # with labelled runs that carry values and counters, and its contention
 # table must list lock classes: every row counts at least one instance and
-# no row is named like an instance ("<class>.<key>"). fig10's export must
-# stay under 1 MB; per-instance rows made it 21.8 MB.
+# no row is named like an instance ("<class>.<key>"). A percentile never
+# leaves the data: every span op row has p50 <= p95 <= p99 <= max_ns, and
+# every contention row has wait and hold p50 <= p95 <= p99 <= the total.
+# fig10's export must stay under 1 MB; per-instance rows made it 21.8 MB.
 
 foreach(var TABLE0 TABLE2 FIG10 JQ OUT_DIR)
   if(NOT DEFINED ${var})
@@ -44,7 +46,15 @@ set(checks
     [[.runs | all(.label != null and (.values | length > 0))]]
     [[[.runs[] | select(.counters)] | length > 0]]
     [[[.runs[].resources[]?] | all(.instances >= 1)]]
-    [[[.runs[].resources[]?.name] | all(test("\\.[0-9]+$") | not)]])
+    [[[.runs[].resources[]?.name] | all(test("\\.[0-9]+$") | not)]]
+    [[[.runs[].spans?.ops[]?]
+      | all(.p50_ns <= .p95_ns and .p95_ns <= .p99_ns and .p99_ns <= .max_ns)]]
+    [[[.runs[].resources[]?]
+      | all(.wait_p50_ns <= .wait_p95_ns and .wait_p95_ns <= .wait_p99_ns
+            and .wait_p99_ns <= .wait_total_ns)]]
+    [[[.runs[].resources[]?]
+      | all(.hold_p50_ns <= .hold_p95_ns and .hold_p95_ns <= .hold_p99_ns
+            and .hold_p99_ns <= .hold_total_ns)]])
 foreach(name table0_switch_cost table2_syscall fig10_pagefault_scaling)
   foreach(check IN LISTS checks)
     execute_process(COMMAND "${JQ}" -e "${check}" "${name}.json" WORKING_DIRECTORY "${OUT_DIR}"

@@ -375,7 +375,7 @@ TEST(FleetMergeTest, NodeHistogramMergeIsOrderIndependent) {
   // Quantiles of the merged latency histogram match the cumulative view.
   const auto it = serial.hists.find("fleet/start_ns");
   ASSERT_NE(it, serial.hists.end());
-  const ts::MergeableHistogram all = it->second.cumulative();
+  const MergeableHistogram all = it->second.cumulative();
   std::uint64_t total_starts = 0;
   for (const ts::TsDoc& doc : docs) {
     total_starts += doc.hists.at("fleet/start_ns").cumulative().count();

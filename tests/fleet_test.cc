@@ -68,7 +68,7 @@ TEST(FleetTest, Fig12AtScaleEptCrashesWherePvmServes) {
   // pvm keeps the boot tail bounded: start P99 within the start deadline.
   const auto it = pvm.rollup.hists.find("fleet/start_ns");
   ASSERT_NE(it, pvm.rollup.hists.end());
-  const ts::MergeableHistogram starts = it->second.cumulative();
+  const MergeableHistogram starts = it->second.cumulative();
   ASSERT_GT(starts.count(), 0u);
   EXPECT_LE(starts.quantile(0.99),
             static_cast<double>(spec.deadline_ns));

@@ -704,6 +704,24 @@ TEST(ProfDoc, ParseRejectsWrongSchema) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ProfDoc, ParseRejectsBucketIndexOutOfRange) {
+  // Index 600 is past the last bucket (495); taken as an index it would
+  // shift a u64 by 74 bits and widen the count vector past every bucket.
+  const auto doc_with_bucket = [](const std::string& index) {
+    return R"({"schema":"pvm.profile.v1","dropped_spans":0,"ops":[{"name":"op.page_fault",)"
+           R"("count":1,"sum_ns":5,"min_ns":5,"max_ns":5,"buckets":[[)" +
+           index + R"(,1]],"paths":[],"tail_paths":[]}]})";
+  };
+  prof::ProfDoc parsed;
+  std::string error;
+  ASSERT_TRUE(prof::parse_profile_json(doc_with_bucket("5"), &parsed, &error)) << error;
+  EXPECT_EQ(only_op(parsed, "op.page_fault").latency.quantile(1.0), 5u);
+  for (const std::string bad : {"600", "496", "-1", "2.5", "\"7\"", "4294967301"}) {
+    EXPECT_FALSE(prof::parse_profile_json(doc_with_bucket(bad), &parsed, &error)) << bad;
+    EXPECT_EQ(error, "malformed bucket pair in op op.page_fault") << bad;
+  }
+}
+
 TEST(ProfRender, CollapsedStacksSpliceOpKeyOverRootFrame) {
   const prof::ProfDoc doc = prof::prefix_profile(sample_doc(1), "pvm/1p/");
   const std::string stacks = prof::render_collapsed_stacks(doc);

@@ -402,7 +402,7 @@ TEST(ResourceTest, PoolMatchesReleasesToAcquisitionsFifo) {
   EXPECT_EQ(pool.lock_class().contended_acquisitions(), 0u);
   EXPECT_EQ(pool.lock_class().total_hold_ns(), 140u);
   // LIFO matching would give the same total but holds {10, 10, 50, 70}.
-  const LatencyHistogram& hold = pool.lock_class().hold_histogram();
+  const MergeableHistogram& hold = pool.lock_class().hold_histogram();
   EXPECT_EQ(hold.count(), 4u);
   EXPECT_EQ(hold.min(), 30u);
   EXPECT_EQ(hold.max(), 40u);
@@ -664,8 +664,8 @@ struct ReferenceLock {
   std::size_t queued = 0;
   std::size_t peak_queue_depth = 0;
   std::deque<SimTime> hold_starts;  // releases match the oldest acquisition
-  LatencyHistogram wait;
-  LatencyHistogram hold;
+  MergeableHistogram wait;
+  MergeableHistogram hold;
 };
 
 // `ops` rounds of: a short random pause (0, 5, 10 or 15 ns, so many events
@@ -707,7 +707,7 @@ Task<void> random_holder(Simulation& sim, const std::vector<Resource*>& locks,
 }
 
 // The class must hold exactly the sum of its instances' statistics: summed
-// totals and histogram buckets, and the deepest queue any instance had.
+// totals, the merge of their histograms, and the deepest queue any instance had.
 void expect_class_matches_reference(const LockClass& cls,
                                     const std::vector<ReferenceLock>& reference) {
   std::uint64_t acquisitions = 0;
@@ -727,26 +727,14 @@ void expect_class_matches_reference(const LockClass& cls,
   EXPECT_EQ(cls.total_wait_ns(), wait_ns);
   EXPECT_EQ(cls.total_hold_ns(), hold_ns);
   EXPECT_EQ(cls.peak_queue_depth(), peak);
-  for (const bool is_wait : {true, false}) {
-    const LatencyHistogram& merged = is_wait ? cls.wait_histogram() : cls.hold_histogram();
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    for (const ReferenceLock& ref : reference) {
-      const LatencyHistogram& one = is_wait ? ref.wait : ref.hold;
-      count += one.count();
-      sum += one.sum();
-    }
-    EXPECT_EQ(merged.count(), count) << (is_wait ? "wait" : "hold");
-    EXPECT_EQ(merged.sum(), sum) << (is_wait ? "wait" : "hold");
-    for (std::size_t bucket = 0; bucket < LatencyHistogram::kBucketCount; ++bucket) {
-      std::uint64_t expected = 0;
-      for (const ReferenceLock& ref : reference) {
-        expected += (is_wait ? ref.wait : ref.hold).bucket_count(bucket);
-      }
-      EXPECT_EQ(merged.bucket_count(bucket), expected)
-          << (is_wait ? "wait" : "hold") << " bucket " << bucket;
-    }
+  MergeableHistogram wait;
+  MergeableHistogram hold;
+  for (const ReferenceLock& ref : reference) {
+    wait.merge(ref.wait);
+    hold.merge(ref.hold);
   }
+  EXPECT_EQ(cls.wait_histogram(), wait);
+  EXPECT_EQ(cls.hold_histogram(), hold);
 }
 
 class LockClassProperty : public ::testing::TestWithParam<SchedulePolicy> {};

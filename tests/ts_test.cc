@@ -1,8 +1,8 @@
-// pvm::ts tests: mergeable-histogram algebra (associativity, commutativity,
-// merge-of-shards == single-stream, quantile error <= one bucket width),
-// tumbling-window boundary semantics, the flight-event bridge, the
-// pvm.timeseries.v1 round trip, sweep-style prefix+merge determinism, SLO
-// evaluation, the pvm-top rendering, and an end-to-end platform smoke run.
+// pvm::ts tests: tumbling-window boundary semantics, the flight-event
+// bridge, the pvm.timeseries.v1 round trip, sweep-style prefix+merge
+// determinism, SLO evaluation, the pvm-top rendering, and an end-to-end
+// platform smoke run. The histogram's own algebra is tested in
+// metrics_test.
 
 #include <gtest/gtest.h>
 
@@ -15,144 +15,12 @@
 
 #include "src/backends/platform.h"
 #include "src/obs/flight.h"
-#include "src/obs/hist.h"
 #include "src/obs/span.h"
 #include "src/obs/step.h"
 #include "src/obs/ts.h"
 
 namespace pvm::ts {
 namespace {
-
-// --- Histogram buckets and quantiles -----------------------------------
-
-TEST(MergeableHistogramTest, SmallValuesAreExact) {
-  MergeableHistogram h;
-  for (std::uint64_t v = 0; v < 8; ++v) {
-    // Below 2^kSubBits every value has its own bucket.
-    EXPECT_EQ(MergeableHistogram::bucket_lower_bound(MergeableHistogram::bucket_index(v)),
-              v);
-    EXPECT_EQ(MergeableHistogram::bucket_upper_bound(MergeableHistogram::bucket_index(v)),
-              v);
-    h.record(v);
-  }
-  EXPECT_EQ(h.count(), 8u);
-  EXPECT_EQ(h.sum(), 28u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 7u);
-  EXPECT_EQ(h.quantile(0.0), 0u);
-  EXPECT_EQ(h.quantile(0.5), 3u);
-  EXPECT_EQ(h.quantile(1.0), 7u);
-}
-
-TEST(MergeableHistogramTest, BucketBoundsBracketEveryMagnitude) {
-  // Total-order preservation plus tight brackets, across every power of two
-  // including the top of the u64 range.
-  std::vector<std::uint64_t> probes;
-  for (unsigned shift = 0; shift < 64; ++shift) {
-    const std::uint64_t p = std::uint64_t{1} << shift;
-    probes.push_back(p - 1);
-    probes.push_back(p);
-    probes.push_back(p + 1);
-  }
-  std::sort(probes.begin(), probes.end());
-  std::uint32_t last_index = 0;
-  for (const std::uint64_t v : probes) {
-    const std::uint32_t index = MergeableHistogram::bucket_index(v);
-    EXPECT_GE(index, last_index) << "v=" << v;
-    last_index = index;
-    EXPECT_LE(MergeableHistogram::bucket_lower_bound(index), v);
-    EXPECT_GE(MergeableHistogram::bucket_upper_bound(index), v);
-  }
-  EXPECT_EQ(MergeableHistogram::bucket_upper_bound(
-                MergeableHistogram::bucket_index(~std::uint64_t{0})),
-            ~std::uint64_t{0});
-}
-
-TEST(MergeableHistogramTest, QuantileWithinOneBucketWidth) {
-  std::mt19937_64 rng(2024);
-  std::vector<std::uint64_t> samples;
-  MergeableHistogram h;
-  for (int i = 0; i < 5000; ++i) {
-    // Mixed magnitudes: exact region, mid-range, and large values.
-    const std::uint64_t v = (rng() % 3 == 0) ? rng() % 8 : rng() % (1ull << (8 + rng() % 40));
-    samples.push_back(v);
-    h.record(v);
-  }
-  std::sort(samples.begin(), samples.end());
-  for (const double q : {0.0, 0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1.0}) {
-    std::size_t rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples.size())));
-    if (rank == 0) {
-      rank = 1;
-    }
-    const std::uint64_t exact = samples[rank - 1];
-    const std::uint64_t reported = h.quantile(q);
-    // The report is the upper bound of the exact sample's bucket (clamped to
-    // the observed max): never below the exact value, never beyond its
-    // bucket's width.
-    EXPECT_GE(reported, exact) << "q=" << q;
-    EXPECT_LE(reported,
-              MergeableHistogram::bucket_upper_bound(MergeableHistogram::bucket_index(exact)))
-        << "q=" << q;
-  }
-}
-
-TEST(MergeableHistogramTest, PointDistributionReportsExactly) {
-  MergeableHistogram h;
-  h.record(378105, 150);
-  EXPECT_EQ(h.quantile(0.5), 378105u);
-  EXPECT_EQ(h.quantile(0.99), 378105u);
-  EXPECT_EQ(h.quantile(1.0), 378105u);
-}
-
-// --- Merge algebra ------------------------------------------------------
-
-MergeableHistogram random_hist(std::uint64_t seed, int n) {
-  std::mt19937_64 rng(seed);
-  MergeableHistogram h;
-  for (int i = 0; i < n; ++i) {
-    h.record(rng() % (1ull << (rng() % 48)));
-  }
-  return h;
-}
-
-TEST(MergeableHistogramTest, MergeIsCommutativeAndAssociative) {
-  const MergeableHistogram a = random_hist(1, 400);
-  const MergeableHistogram b = random_hist(2, 300);
-  const MergeableHistogram c = random_hist(3, 500);
-
-  MergeableHistogram ab = a;
-  ab.merge(b);
-  MergeableHistogram ba = b;
-  ba.merge(a);
-  EXPECT_EQ(ab, ba);
-
-  MergeableHistogram ab_c = ab;
-  ab_c.merge(c);
-  MergeableHistogram bc = b;
-  bc.merge(c);
-  MergeableHistogram a_bc = a;
-  a_bc.merge(bc);
-  EXPECT_EQ(ab_c, a_bc);
-}
-
-TEST(MergeableHistogramTest, MergedShardsEqualSingleStream) {
-  std::mt19937_64 rng(77);
-  MergeableHistogram single;
-  std::vector<MergeableHistogram> shards(8);
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint64_t v = rng() % (1ull << (rng() % 40));
-    single.record(v);
-    shards[i % 8].record(v);  // round-robin, like a --jobs 8 sweep
-  }
-  MergeableHistogram merged;
-  for (const MergeableHistogram& shard : shards) {
-    merged.merge(shard);
-  }
-  EXPECT_EQ(merged, single);
-  for (const double q : {0.5, 0.99, 0.999}) {
-    EXPECT_EQ(merged.quantile(q), single.quantile(q));
-  }
-}
 
 // --- Window semantics ---------------------------------------------------
 
@@ -356,6 +224,25 @@ TEST(TimeseriesJsonTest, ParseRejectsGarbage) {
   std::string error;
   EXPECT_FALSE(parse_timeseries_json("{]", &doc, &error));
   EXPECT_FALSE(parse_timeseries_json("{\"schema\":\"pvm.bench.v1\"}", &doc, &error));
+}
+
+TEST(TimeseriesJsonTest, ParseRejectsBucketIndexOutOfRange) {
+  // Index 600 is past the last bucket (495); taken as an index it would
+  // shift a u64 by 74 bits and widen the count vector past every bucket.
+  const auto doc_with_bucket = [](std::string_view index) {
+    return std::string(R"({"schema":"pvm.timeseries.v1","window_ns":1000,"series":[],)"
+                       R"("hists":[{"name":"h","exemplars":[],"windows":[{"w":0,"count":1,)"
+                       R"("sum":5,"min":5,"max":5,"buckets":[[)") +
+           std::string(index) + R"(,1]]}]}],"slos":[]})";
+  };
+  TsDoc doc;
+  std::string error;
+  ASSERT_TRUE(parse_timeseries_json(doc_with_bucket("5"), &doc, &error)) << error;
+  EXPECT_EQ(doc.hists.at("h").cumulative().quantile(1.0), 5u);
+  for (const std::string_view bad : {"600", "496", "-1", "2.5", "\"7\"", "4294967301"}) {
+    EXPECT_FALSE(parse_timeseries_json(doc_with_bucket(bad), &doc, &error)) << bad;
+    EXPECT_EQ(error, "malformed hist bucket") << bad;
+  }
 }
 
 TEST(TimeseriesMergeTest, PrefixedShardMergeMatchesSingleStream) {
@@ -581,7 +468,10 @@ void expect_resolvable_exemplars(DeployMode mode) {
   std::size_t checked = 0;
   for (const auto& [name, hist] : doc.hists) {
     const MergeableHistogram cumulative = hist.cumulative();
-    for (const auto& [bucket, n] : cumulative.buckets()) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
+    cumulative.for_each_bucket(
+        [&buckets](std::uint32_t bucket, std::uint64_t n) { buckets.emplace_back(bucket, n); });
+    for (const auto& [bucket, n] : buckets) {
       ASSERT_TRUE(hist.exemplars.contains(bucket))
           << name << " bucket " << bucket << " (" << n << " samples) has no exemplar";
       const TsExemplar& exemplar = hist.exemplars.at(bucket);
