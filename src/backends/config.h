@@ -3,8 +3,12 @@
 #ifndef PVM_SRC_BACKENDS_CONFIG_H_
 #define PVM_SRC_BACKENDS_CONFIG_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/sim/simulation.h"
 
@@ -69,6 +73,10 @@ inline constexpr DeployMode kAllDeployModes[] = {
     DeployMode::kKvmEptNst,   DeployMode::kPvmNst,     DeployMode::kSptOnEptNst,
     DeployMode::kPvmDirectNst};
 
+// Every schedule policy (the order "--policies all" expands to).
+inline constexpr SchedulePolicy kAllSchedulePolicies[] = {
+    SchedulePolicy::kFifo, SchedulePolicy::kRandom, SchedulePolicy::kLifo};
+
 // Parses a mode / policy token; returns false on an unknown spelling.
 inline bool parse_deploy_mode_token(std::string_view token, DeployMode* mode) {
   for (const DeployMode m : kAllDeployModes) {
@@ -81,14 +89,53 @@ inline bool parse_deploy_mode_token(std::string_view token, DeployMode* mode) {
 }
 
 inline bool parse_schedule_policy_token(std::string_view token, SchedulePolicy* policy) {
-  for (const SchedulePolicy p :
-       {SchedulePolicy::kFifo, SchedulePolicy::kRandom, SchedulePolicy::kLifo}) {
+  for (const SchedulePolicy p : kAllSchedulePolicies) {
     if (token == schedule_policy_name(p)) {
       *policy = p;
       return true;
     }
   }
   return false;
+}
+
+// Parses a list flag into `out`: "all" is every value of `all`, in order;
+// anything else is comma-separated tokens, kept in the given order. Returns
+// false with the first token `parse_token` rejects in `bad`; an empty token
+// ("pvm,", "") is rejected like an unknown one.
+template <typename T, std::size_t N>
+bool parse_token_list(std::string_view list, const T (&all)[N],
+                      bool (*parse_token)(std::string_view, T*), std::vector<T>* out,
+                      std::string* bad) {
+  out->clear();
+  if (list == "all") {
+    out->assign(std::begin(all), std::end(all));
+    return true;
+  }
+  for (;;) {
+    const std::string_view token = list.substr(0, list.find(','));
+    T value;
+    if (!parse_token(token, &value)) {
+      *bad = token;
+      return false;
+    }
+    out->push_back(value);
+    if (token.size() == list.size()) {
+      return true;
+    }
+    list.remove_prefix(token.size() + 1);
+  }
+}
+
+// The --modes list of simcheck, pvm-matrix, pvm-fleet and pvm-stat.
+inline bool parse_deploy_mode_list(std::string_view list, std::vector<DeployMode>* modes,
+                                   std::string* bad) {
+  return parse_token_list(list, kAllDeployModes, parse_deploy_mode_token, modes, bad);
+}
+
+// The --policies list of simcheck and pvm-matrix.
+inline bool parse_schedule_policy_list(std::string_view list,
+                                       std::vector<SchedulePolicy>* policies, std::string* bad) {
+  return parse_token_list(list, kAllSchedulePolicies, parse_schedule_policy_token, policies, bad);
 }
 
 constexpr bool deploy_mode_is_nested(DeployMode mode) {

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -23,19 +22,6 @@
 #include "src/workloads/memstress.h"
 
 namespace pvm {
-
-// Token spellings live with DeployMode itself (backends/config.h) so the
-// matrix tooling shares them; these wrappers keep the historical simcheck
-// API.
-std::string_view simcheck_mode_token(DeployMode mode) { return deploy_mode_token(mode); }
-
-bool parse_mode_token(std::string_view token, DeployMode* mode) {
-  return parse_deploy_mode_token(token, mode);
-}
-
-bool parse_policy_token(std::string_view token, SchedulePolicy* policy) {
-  return parse_schedule_policy_token(token, policy);
-}
 
 namespace {
 
@@ -58,7 +44,7 @@ std::string case_label(const SimcheckCase& c) {
 
 std::string simcheck_reproduce_line(const SimcheckCase& c) {
   std::ostringstream line;
-  line << "simcheck --modes " << simcheck_mode_token(c.mode) << " --policies "
+  line << "simcheck --modes " << deploy_mode_token(c.mode) << " --policies "
        << schedule_policy_name(c.policy) << " --seeds 1 --first-seed " << c.schedule_seed
        << (c.chaos ? "" : " --no-chaos") << (c.faults ? "" : " --no-faults");
   if (c.flight_capacity != 0) {
@@ -282,9 +268,8 @@ std::string sweep_fingerprint(const SweepOptions& options) {
   return fp;
 }
 
-std::string encode_case_result(std::size_t index, const SimcheckResult& r) {
+std::string encode_case_result(const SimcheckResult& r) {
   std::string payload;
-  wal::put_u64(payload, index);
   wal::put_u32(payload, r.ok ? 1 : 0);
   wal::put_string(payload, r.failure);
   wal::put_string(payload, r.profile);
@@ -297,11 +282,10 @@ std::string encode_case_result(std::size_t index, const SimcheckResult& r) {
   return payload;
 }
 
-bool decode_case_result(std::string_view payload, std::size_t* index, SimcheckResult* r) {
+bool decode_case_result(std::string_view payload, SimcheckResult* r) {
   std::size_t cursor = 0;
-  std::uint64_t idx = 0;
   std::uint32_t ok = 0;
-  if (!wal::get_u64(payload, &cursor, &idx) || !wal::get_u32(payload, &cursor, &ok) ||
+  if (!wal::get_u32(payload, &cursor, &ok) ||
       !wal::get_string(payload, &cursor, &r->failure) ||
       !wal::get_string(payload, &cursor, &r->profile) ||
       !wal::get_string(payload, &cursor, &r->postmortem_text) ||
@@ -311,7 +295,6 @@ bool decode_case_result(std::string_view payload, std::size_t* index, SimcheckRe
       !wal::get_u64(payload, &cursor, &r->shadow_frames)) {
     return false;
   }
-  *index = static_cast<std::size_t>(idx);
   r->ok = ok != 0;
   return true;
 }
@@ -343,88 +326,45 @@ int run_simcheck_sweep(const SweepOptions& options, std::ostream& out) {
   std::vector<std::vector<std::optional<SimcheckResult>>> results(
       combos.size(), std::vector<std::optional<SimcheckResult>>(seeds));
 
-  // Checkpoint-resume: replay finished cases from the WAL into their slots
-  // (recovery truncates a torn tail — those cases rerun), then append each
-  // fresh case as it completes. Because cases are deterministic and the
-  // report merges by index, a resumed sweep prints byte-identically to an
-  // uninterrupted one.
-  const bool use_checkpoint = !options.checkpoint_path.empty();
-  const std::string fingerprint = sweep_fingerprint(options);
-  wal::Log checkpoint_log("wal:simcheck");
-  std::mutex checkpoint_mutex;
-  if (use_checkpoint) {
-    std::string bytes;
-    std::string error;
-    if (!wal::load_file(options.checkpoint_path, &bytes, &error)) {
-      std::cerr << "simcheck: cannot read checkpoint " << options.checkpoint_path << ": "
-                << error << "; starting fresh\n";
-      bytes.clear();
-    }
-    const wal::RecoveryResult recovered = wal::recover(bytes);
-    if (recovered.torn_tail) {
-      std::cerr << "simcheck: checkpoint tail truncated (" << recovered.detail
-                << "); rerunning the affected case(s)\n";
-    }
-    bool stale = false;
-    std::size_t replayed = 0;
-    for (const wal::Record& record : recovered.records) {
-      if (record.type == wal::RecordType::kHeader) {
-        std::size_t cursor = 0;
-        std::string stored;
-        if (!wal::get_string(record.payload, &cursor, &stored) || stored != fingerprint) {
-          stale = true;
-          break;
-        }
-      } else if (record.type == wal::RecordType::kCaseResult) {
-        std::size_t index = 0;
-        SimcheckResult r;
-        if (decode_case_result(record.payload, &index, &r) && seeds > 0 &&
-            index < combos.size() * seeds) {
-          results[index / seeds][index % seeds] = std::move(r);
-          ++replayed;
-        }
+  // Checkpoint-resume: replay finished cases into their slots (a torn tail
+  // costs only the cases it cut), then append each fresh case as it
+  // completes. Because cases are deterministic and the report merges by
+  // index, a resumed sweep prints byte-identically to an uninterrupted one.
+  // An unreadable or stale file is not fatal: the sweep is the authority,
+  // so it warns and starts fresh, overwriting the file at once.
+  std::optional<wal::ResumeLog> checkpoint;
+  if (!options.checkpoint_path.empty()) {
+    const std::string& path = options.checkpoint_path;
+    checkpoint.emplace("simcheck", "case", path, wal::RecordType::kCaseResult,
+                       sweep_fingerprint(options), combos.size() * seeds);
+    switch (checkpoint->load([&](std::size_t index, std::string_view payload) {
+      SimcheckResult r;
+      if (!decode_case_result(payload, &r)) {
+        return false;
       }
-    }
-    if (stale) {
-      std::cerr << "simcheck: checkpoint " << options.checkpoint_path
-                << " was written by a different sweep; ignoring it\n";
-      for (auto& row : results) {
-        for (auto& slot : row) {
-          slot.reset();
+      results[index / seeds][index % seeds] = std::move(r);
+      return true;
+    })) {
+      case wal::ResumeLog::Status::kUnreadable:
+        std::cerr << "simcheck: cannot read checkpoint " << path << ": " << checkpoint->error()
+                  << "; starting fresh\n";
+        break;
+      case wal::ResumeLog::Status::kStale:
+        std::cerr << "simcheck: checkpoint " << path
+                  << " was written by a different sweep; ignoring it\n";
+        break;
+      case wal::ResumeLog::Status::kOk:
+        if (checkpoint->replayed() > 0) {
+          std::cerr << "simcheck: replayed " << checkpoint->replayed() << " case(s) from " << path
+                    << "\n";
         }
-      }
-      replayed = 0;
-    } else if (replayed > 0) {
-      std::cerr << "simcheck: replayed " << replayed << " case(s) from "
-                << options.checkpoint_path << "\n";
+        break;
     }
-    // Rebuild the log: header, then the surviving replayed cases in index
-    // order. Fresh cases append behind them.
-    checkpoint_log.clear();
-    std::string header;
-    wal::put_string(header, fingerprint);
-    checkpoint_log.append(wal::RecordType::kHeader, header);
-    for (std::size_t combo = 0; combo < combos.size(); ++combo) {
-      for (std::size_t i = 0; i < seeds; ++i) {
-        if (results[combo][i].has_value()) {
-          checkpoint_log.append(wal::RecordType::kCaseResult,
-                                encode_case_result(combo * seeds + i, *results[combo][i]));
-        }
-      }
-    }
-    if (!checkpoint_log.save(options.checkpoint_path, &error)) {
-      std::cerr << "simcheck: checkpoint save failed: " << error << "\n";
-    }
+    checkpoint->save();
   }
-  const auto record_case = [&](std::size_t index, const SimcheckResult& r) {
-    if (!use_checkpoint) {
-      return;
-    }
-    const std::scoped_lock lock(checkpoint_mutex);
-    checkpoint_log.append(wal::RecordType::kCaseResult, encode_case_result(index, r));
-    std::string error;
-    if (!checkpoint_log.save(options.checkpoint_path, &error)) {
-      std::cerr << "simcheck: checkpoint save failed: " << error << "\n";
+  const auto record_case = [&checkpoint](std::size_t index, const SimcheckResult& r) {
+    if (checkpoint) {
+      checkpoint->append(index, encode_case_result(r));
     }
   };
 
@@ -502,7 +442,7 @@ int run_simcheck_sweep(const SweepOptions& options, std::ostream& out) {
           std::error_code ec;  // best effort; the writes below report nothing either
           std::filesystem::create_directories(options.postmortem_dir, ec);
           const std::string stem = options.postmortem_dir + "/postmortem-" +
-                                   std::string(simcheck_mode_token(mode)) + "-" +
+                                   std::string(deploy_mode_token(mode)) + "-" +
                                    std::string(schedule_policy_name(policy)) + "-" +
                                    std::to_string(c.schedule_seed);
           std::ofstream(stem + ".json") << r.postmortem_json;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/backends/config.h"
@@ -26,15 +25,6 @@
 #include "src/metrics/counters.h"
 
 namespace pvm {
-
-// CLI-safe spelling of a deployment mode ("pvm", "kvm-spt", "ept", ...);
-// shared by the simcheck binary's --modes parser and the sweep's printed
-// reproduce commands so a failure report pastes back verbatim.
-std::string_view simcheck_mode_token(DeployMode mode);
-
-// Parses a mode / policy token; returns false on an unknown spelling.
-bool parse_mode_token(std::string_view token, DeployMode* mode);
-bool parse_policy_token(std::string_view token, SchedulePolicy* policy);
 
 struct SimcheckCase {
   DeployMode mode = DeployMode::kPvmNst;

@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/check/simcheck.h"
 #include "src/sweep/sweep.h"
@@ -46,19 +46,6 @@ void usage(std::ostream& out) {
          "  --verbose             print every case, not just failures\n";
 }
 
-std::vector<std::string> split_csv(std::string_view list) {
-  std::vector<std::string> tokens;
-  while (!list.empty()) {
-    const std::size_t comma = list.find(',');
-    tokens.emplace_back(list.substr(0, comma));
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    list.remove_prefix(comma + 1);
-  }
-  return tokens;
-}
-
 [[noreturn]] void die(const std::string& message) {
   std::cerr << "simcheck: " << message << "\n";
   usage(std::cerr);
@@ -71,8 +58,8 @@ int main(int argc, char** argv) {
   pvm::SweepOptions options;
   options.modes = {pvm::DeployMode::kPvmNst, pvm::DeployMode::kKvmSptBm,
                    pvm::DeployMode::kKvmEptNst};
-  options.policies = {pvm::SchedulePolicy::kFifo, pvm::SchedulePolicy::kRandom,
-                      pvm::SchedulePolicy::kLifo};
+  options.policies.assign(std::begin(pvm::kAllSchedulePolicies),
+                          std::end(pvm::kAllSchedulePolicies));
 
   const auto next_value = [&](int& i) -> std::string {
     if (i + 1 >= argc) {
@@ -84,33 +71,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--modes") {
-      const std::string value = next_value(i);
-      options.modes.clear();
-      if (value == "all") {
-        options.modes = {pvm::DeployMode::kKvmEptBm,    pvm::DeployMode::kKvmSptBm,
-                         pvm::DeployMode::kPvmBm,       pvm::DeployMode::kKvmEptNst,
-                         pvm::DeployMode::kPvmNst,      pvm::DeployMode::kSptOnEptNst,
-                         pvm::DeployMode::kPvmDirectNst};
-      } else {
-        for (const std::string& token : split_csv(value)) {
-          pvm::DeployMode mode;
-          if (!pvm::parse_mode_token(token, &mode)) {
-            die("unknown mode '" + token + "'");
-          }
-          options.modes.push_back(mode);
-        }
+      std::string bad;
+      if (!pvm::parse_deploy_mode_list(next_value(i), &options.modes, &bad)) {
+        die("unknown mode '" + bad + "'");
       }
     } else if (arg == "--policies") {
-      const std::string value = next_value(i);
-      if (value != "all") {
-        options.policies.clear();
-        for (const std::string& token : split_csv(value)) {
-          pvm::SchedulePolicy policy;
-          if (!pvm::parse_policy_token(token, &policy)) {
-            die("unknown policy '" + token + "'");
-          }
-          options.policies.push_back(policy);
-        }
+      std::string bad;
+      if (!pvm::parse_schedule_policy_list(next_value(i), &options.policies, &bad)) {
+        die("unknown policy '" + bad + "'");
       }
     } else if (arg == "--seeds") {
       options.seeds = std::atoi(next_value(i).c_str());

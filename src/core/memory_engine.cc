@@ -150,23 +150,6 @@ SlabStats PvmMemoryEngine::alloc_stats() const {
   return stats;
 }
 
-std::uint64_t PvmMemoryEngine::translate_or_allocate_gpa(std::uint64_t gpa_frame,
-                                                         bool* allocated) {
-  const std::uint64_t gpa = gpa_frame << kPageShift;
-  if (const Pte* existing = gpa_map_.find_pte(gpa); existing != nullptr && existing->present()) {
-    if (allocated != nullptr) {
-      *allocated = false;
-    }
-    return existing->frame_number();
-  }
-  const std::uint64_t l1_frame = l1_frames_->allocate_or_throw();
-  gpa_map_.map(gpa, l1_frame, PteFlags::rw_kernel());
-  if (allocated != nullptr) {
-    *allocated = true;
-  }
-  return l1_frame;
-}
-
 std::optional<std::uint64_t> PvmMemoryEngine::translate_or_allocate_gpa_checked(
     std::uint64_t gpa_frame, bool* allocated, ReclaimStats* stats) {
   const std::uint64_t gpa = gpa_frame << kPageShift;

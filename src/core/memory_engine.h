@@ -157,25 +157,21 @@ class PvmMemoryEngine {
   Task<std::uint16_t> activate(std::uint64_t pid, bool kernel_ring, Tlb& tlb,
                                std::uint16_t vpid);
 
-  // Translates a guest-physical page to its L1 backing frame, allocating on
-  // demand (cold path charged). Non-coroutine variant used inside locks.
-  // Throws on allocator exhaustion (legacy behavior; fault paths use the
-  // checked variant below).
-  std::uint64_t translate_or_allocate_gpa(std::uint64_t gpa_frame, bool* allocated);
-
   // One frame-pressure reclaim pass (see translate_or_allocate_gpa_checked).
   struct ReclaimStats {
     std::uint64_t frames = 0;         // backing frames recovered
     std::uint64_t leaves_zapped = 0;  // live shadow leaves dropped to get them
   };
 
-  // Like translate_or_allocate_gpa but degrades instead of throwing: when
-  // the allocator refuses (exhaustion, injected pressure), the engine runs a
-  // synchronous reclaim pass — evicting cold gpa_map translations first, then
-  // stealing warm ones by zapping their shadow leaves through the rmap — and
-  // hands the first recovered frame straight to this request. Returns
-  // nullopt only when even reclaim found nothing (true exhaustion). `stats`
-  // (optional) reports what the pass did so the caller can charge its cost.
+  // Translates a guest-physical page to its L1 backing frame, allocating on
+  // demand; a non-coroutine call used inside locks. It degrades instead of
+  // throwing: when the allocator refuses (exhaustion, injected pressure), the
+  // engine runs a synchronous reclaim pass — evicting cold gpa_map
+  // translations first, then stealing warm ones by zapping their shadow
+  // leaves through the rmap — and hands the first recovered frame straight
+  // to this request. Returns nullopt only when even reclaim found nothing
+  // (true exhaustion). `stats` (optional) reports what the pass did so the
+  // caller can charge its cost.
   std::optional<std::uint64_t> translate_or_allocate_gpa_checked(std::uint64_t gpa_frame,
                                                                  bool* allocated,
                                                                  ReclaimStats* stats);

@@ -272,12 +272,40 @@ class Parser {
   std::string error_;
 };
 
+// True if `v` holds an integer in [lo, hi). Both bounds are powers of two,
+// exact as doubles; every double at or above 2^53 is an integer.
+bool integral_in(const JsonValue& v, double lo, double hi) {
+  return v.is_number() && v.number >= lo && v.number < hi && v.number == std::floor(v.number);
+}
+
 }  // namespace
 
 bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
   Parser parser(text);
   std::string local_error;
   return parser.parse(out, error != nullptr ? error : &local_error);
+}
+
+bool json_u64(const JsonValue* v, std::uint64_t* out) {
+  if (v == nullptr) {
+    return true;
+  }
+  if (!integral_in(*v, 0.0, 0x1p64)) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(v->number);
+  return true;
+}
+
+bool json_i64(const JsonValue* v, std::int64_t* out) {
+  if (v == nullptr) {
+    return true;
+  }
+  if (!integral_in(*v, -0x1p63, 0x1p63)) {
+    return false;
+  }
+  *out = static_cast<std::int64_t>(v->number);
+  return true;
 }
 
 }  // namespace pvm::obs

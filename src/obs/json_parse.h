@@ -9,6 +9,7 @@
 #ifndef PVM_SRC_OBS_JSON_PARSE_H_
 #define PVM_SRC_OBS_JSON_PARSE_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,6 +54,14 @@ class JsonValue {
 // Parses one JSON document. Returns false (and sets `error` with a byte
 // offset) on malformed input or trailing garbage.
 bool json_parse(std::string_view text, JsonValue* out, std::string* error);
+
+// Checked integer reads for the document importers. json_u64 accepts only a
+// number holding an integer in [0, 2^64), json_i64 one in [-2^63, 2^63);
+// a string, a fraction or an out-of-range value returns false, so a
+// malformed field fails the import instead of wrapping or clamping. A null
+// `v` (an absent optional member) returns true and leaves `*out` as it was.
+bool json_u64(const JsonValue* v, std::uint64_t* out);
+bool json_i64(const JsonValue* v, std::int64_t* out);
 
 }  // namespace pvm::obs
 

@@ -42,12 +42,6 @@ std::string format_ns(std::uint64_t ns) {
   return out;
 }
 
-std::uint64_t as_u64(const obs::JsonValue& v) {
-  return v.number < 0 ? 0 : static_cast<std::uint64_t>(v.number);
-}
-
-std::int64_t as_i64(const obs::JsonValue& v) { return static_cast<std::int64_t>(v.number); }
-
 // Interned phase paths. A path component is a Phase index, or kPhaseCount +
 // lock index for a lock wait whose lock-track mirror record names its
 // resource; a path is (parent path id, component), kNoPath for an op root.
@@ -498,17 +492,18 @@ bool parse_profile_json(std::string_view text, ProfDoc* out, std::string* error)
     return fail("not a pvm.profile.v1 document");
   }
   ProfDoc doc;
-  if (const obs::JsonValue* v = root.find("dropped_spans"); v != nullptr && v->is_number()) {
-    doc.dropped_spans = as_u64(*v);
+  if (!obs::json_u64(root.find("dropped_spans"), &doc.dropped_spans)) {
+    return fail("malformed dropped_spans");
   }
   const obs::JsonValue* ops = root.find("ops");
   if (ops == nullptr || !ops->is_array()) {
     return fail("missing ops array");
   }
+  // False on a path whose numbers are not integers in range.
   const auto parse_paths = [](const obs::JsonValue* array,
                               std::map<std::string, PathStat>* into) {
     if (array == nullptr || !array->is_array()) {
-      return;
+      return true;
     }
     for (const obs::JsonValue& entry : array->array) {
       const obs::JsonValue* path = entry.find("path");
@@ -516,10 +511,13 @@ bool parse_profile_json(std::string_view text, ProfDoc* out, std::string* error)
         continue;
       }
       PathStat stat;
-      if (const obs::JsonValue* v = entry.find("excl_ns")) stat.exclusive_ns = as_u64(*v);
-      if (const obs::JsonValue* v = entry.find("count")) stat.count = as_u64(*v);
+      if (!obs::json_u64(entry.find("excl_ns"), &stat.exclusive_ns) ||
+          !obs::json_u64(entry.find("count"), &stat.count)) {
+        return false;
+      }
       (*into)[path->string] = stat;
     }
+    return true;
   };
   for (const obs::JsonValue& entry : ops->array) {
     const obs::JsonValue* name = entry.find("name");
@@ -528,31 +526,33 @@ bool parse_profile_json(std::string_view text, ProfDoc* out, std::string* error)
     const obs::JsonValue* min = entry.find("min_ns");
     const obs::JsonValue* max = entry.find("max_ns");
     const obs::JsonValue* buckets = entry.find("buckets");
+    OpProfile profile;
+    std::uint64_t n = 0, total = 0, lo = 0, hi = 0;
     if (name == nullptr || !name->is_string() || count == nullptr || sum == nullptr ||
-        min == nullptr || max == nullptr || buckets == nullptr || !buckets->is_array()) {
+        min == nullptr || max == nullptr || buckets == nullptr || !buckets->is_array() ||
+        !obs::json_u64(count, &n) || !obs::json_u64(sum, &total) || !obs::json_u64(min, &lo) ||
+        !obs::json_u64(max, &hi) ||
+        !obs::json_u64(entry.find("tail_threshold_ns"), &profile.tail_threshold_ns) ||
+        !obs::json_u64(entry.find("worst_ns"), &profile.worst_ns) ||
+        !obs::json_u64(entry.find("worst_begin_ns"), &profile.worst_begin_ns) ||
+        !obs::json_i64(entry.find("worst_track"), &profile.worst_track)) {
       return fail("malformed op entry");
     }
-    OpProfile profile;
     std::map<std::uint32_t, std::uint64_t> parsed;
     for (const obs::JsonValue& pair : buckets->array) {
+      std::uint64_t weight = 0;
       if (!pair.is_array() || pair.array.size() != 2 || !pair.array[0].is_number() ||
-          !MergeableHistogram::is_bucket_index(pair.array[0].number)) {
+          !MergeableHistogram::is_bucket_index(pair.array[0].number) ||
+          !obs::json_u64(&pair.array[1], &weight)) {
         return fail("malformed bucket pair in op " + name->string);
       }
-      parsed[static_cast<std::uint32_t>(pair.array[0].number)] = as_u64(pair.array[1]);
+      parsed[static_cast<std::uint32_t>(pair.array[0].number)] = weight;
     }
-    profile.latency = MergeableHistogram::from_parts(as_u64(*count), as_u64(*sum), as_u64(*min),
-                                                     as_u64(*max), parsed);
-    if (const obs::JsonValue* v = entry.find("tail_threshold_ns")) {
-      profile.tail_threshold_ns = as_u64(*v);
+    profile.latency = MergeableHistogram::from_parts(n, total, lo, hi, parsed);
+    if (!parse_paths(entry.find("paths"), &profile.paths) ||
+        !parse_paths(entry.find("tail_paths"), &profile.tail_paths)) {
+      return fail("malformed path in op " + name->string);
     }
-    if (const obs::JsonValue* v = entry.find("worst_ns")) profile.worst_ns = as_u64(*v);
-    if (const obs::JsonValue* v = entry.find("worst_begin_ns")) {
-      profile.worst_begin_ns = as_u64(*v);
-    }
-    if (const obs::JsonValue* v = entry.find("worst_track")) profile.worst_track = as_i64(*v);
-    parse_paths(entry.find("paths"), &profile.paths);
-    parse_paths(entry.find("tail_paths"), &profile.tail_paths);
     doc.ops.emplace(name->string, std::move(profile));
   }
   *out = std::move(doc);

@@ -106,13 +106,6 @@ class SpanRecorder {
     close(token, &lock_name);
   }
 
-  // Records an already-complete span (no stack interaction, no aggregation
-  // beyond the raw buffer). Used for instantaneous or externally-timed marks.
-  void record_complete(std::int64_t track, Phase phase, TimeNs begin_ns, TimeNs end_ns,
-                       std::uint64_t detail = 0) {
-    append(SpanRecord{begin_ns, end_ns, track, phase, 0, detail});
-  }
-
   // --- Aggregate views -----------------------------------------------------
 
   struct PhaseStat {

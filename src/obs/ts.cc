@@ -63,14 +63,6 @@ std::uint64_t hist_value(const MergeableHistogram& h, std::string_view quantile)
   return h.quantile(quantile_fraction(quantile));
 }
 
-std::uint64_t as_u64(const obs::JsonValue& v) {
-  return static_cast<std::uint64_t>(v.number);
-}
-
-std::int64_t as_i64(const obs::JsonValue& v) {
-  return static_cast<std::int64_t>(v.number);
-}
-
 }  // namespace
 
 bool exemplar_worse(const TsExemplar& a, const TsExemplar& b) {
@@ -538,23 +530,22 @@ void render_slo_results(obs::JsonWriter& w, const std::vector<SloResult>& slos) 
   w.end_array();
 }
 
-void parse_slo_results(const obs::JsonValue& array, std::vector<SloResult>* out) {
+bool parse_slo_results(const obs::JsonValue& array, std::vector<SloResult>* out) {
   for (const obs::JsonValue& entry : array.array) {
     SloResult slo;
     if (const obs::JsonValue* v = entry.find("name")) slo.name = v->string;
     if (const obs::JsonValue* v = entry.find("metric")) slo.metric = v->string;
     if (const obs::JsonValue* v = entry.find("quantile")) slo.quantile = v->string;
-    if (const obs::JsonValue* v = entry.find("threshold_ns")) {
-      slo.threshold_ns = as_u64(*v);
-    }
     if (const obs::JsonValue* v = entry.find("scope")) slo.scope = v->string;
-    if (const obs::JsonValue* v = entry.find("value")) slo.value = as_i64(*v);
-    if (const obs::JsonValue* v = entry.find("worst_window")) {
-      slo.worst_window = as_u64(*v);
-    }
     if (const obs::JsonValue* v = entry.find("pass")) slo.pass = v->boolean;
+    if (!obs::json_u64(entry.find("threshold_ns"), &slo.threshold_ns) ||
+        !obs::json_i64(entry.find("value"), &slo.value) ||
+        !obs::json_u64(entry.find("worst_window"), &slo.worst_window)) {
+      return false;
+    }
     out->push_back(std::move(slo));
   }
+  return true;
 }
 
 bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error) {
@@ -576,10 +567,9 @@ bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error
   }
   TsDoc doc;
   const obs::JsonValue* window_ns = root.find("window_ns");
-  if (window_ns == nullptr || !window_ns->is_number()) {
+  if (window_ns == nullptr || !obs::json_u64(window_ns, &doc.window_ns)) {
     return fail("missing window_ns");
   }
-  doc.window_ns = as_u64(*window_ns);
   if (const obs::JsonValue* series = root.find("series"); series != nullptr) {
     for (const obs::JsonValue& entry : series->array) {
       const obs::JsonValue* name = entry.find("name");
@@ -591,10 +581,13 @@ bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error
       TsSeries s;
       s.gauge = kind->string == "gauge";
       for (const obs::JsonValue& pair : windows->array) {
-        if (pair.array.size() != 2) {
+        std::uint64_t w = 0;
+        std::int64_t value = 0;
+        if (pair.array.size() != 2 || !obs::json_u64(&pair.array[0], &w) ||
+            !obs::json_i64(&pair.array[1], &value)) {
           return fail("malformed series window");
         }
-        s.windows[as_u64(pair.array[0])] = as_i64(pair.array[1]);
+        s.windows[w] = value;
       }
       // Totals are recomputed, not trusted: counter total is the sum of
       // window increments, gauge total the final level.
@@ -620,15 +613,16 @@ bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error
           exemplars != nullptr) {
         for (const obs::JsonValue& eentry : exemplars->array) {
           const obs::JsonValue* bucket = eentry.find("bucket");
-          if (bucket == nullptr) {
+          TsExemplar exemplar;
+          if (bucket == nullptr || !bucket->is_number() ||
+              !MergeableHistogram::is_bucket_index(bucket->number) ||
+              !obs::json_u64(eentry.find("value"), &exemplar.value) ||
+              !obs::json_u64(eentry.find("seq"), &exemplar.seq)) {
             return fail("malformed hist exemplar");
           }
-          TsExemplar exemplar;
-          if (const obs::JsonValue* v = eentry.find("value")) exemplar.value = as_u64(*v);
-          if (const obs::JsonValue* v = eentry.find("seq")) exemplar.seq = as_u64(*v);
           if (const obs::JsonValue* v = eentry.find("source")) exemplar.source = v->string;
           if (const obs::JsonValue* v = eentry.find("path")) exemplar.path = v->string;
-          h.exemplars[static_cast<std::uint32_t>(as_u64(*bucket))] = std::move(exemplar);
+          h.exemplars[static_cast<std::uint32_t>(bucket->number)] = std::move(exemplar);
         }
       }
       for (const obs::JsonValue& wentry : windows->array) {
@@ -638,27 +632,31 @@ bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error
         const obs::JsonValue* min = wentry.find("min");
         const obs::JsonValue* max = wentry.find("max");
         const obs::JsonValue* buckets = wentry.find("buckets");
-        if (w == nullptr || count == nullptr || sum == nullptr ||
-            min == nullptr || max == nullptr || buckets == nullptr) {
+        std::uint64_t index = 0, n = 0, total = 0, lo = 0, hi = 0;
+        if (w == nullptr || count == nullptr || sum == nullptr || min == nullptr ||
+            max == nullptr || buckets == nullptr || !obs::json_u64(w, &index) ||
+            !obs::json_u64(count, &n) || !obs::json_u64(sum, &total) ||
+            !obs::json_u64(min, &lo) || !obs::json_u64(max, &hi)) {
           return fail("malformed hist window");
         }
         std::map<std::uint32_t, std::uint64_t> parsed;
         for (const obs::JsonValue& pair : buckets->array) {
+          std::uint64_t weight = 0;
           if (pair.array.size() != 2 || !pair.array[0].is_number() ||
-              !MergeableHistogram::is_bucket_index(pair.array[0].number)) {
+              !MergeableHistogram::is_bucket_index(pair.array[0].number) ||
+              !obs::json_u64(&pair.array[1], &weight)) {
             return fail("malformed hist bucket");
           }
-          parsed[static_cast<std::uint32_t>(pair.array[0].number)] = as_u64(pair.array[1]);
+          parsed[static_cast<std::uint32_t>(pair.array[0].number)] = weight;
         }
-        h.windows.emplace(as_u64(*w),
-                          MergeableHistogram::from_parts(as_u64(*count), as_u64(*sum),
-                                                         as_u64(*min), as_u64(*max), parsed));
+        h.windows.emplace(index, MergeableHistogram::from_parts(n, total, lo, hi, parsed));
       }
       doc.hists.emplace(name->string, std::move(h));
     }
   }
-  if (const obs::JsonValue* slos = root.find("slos"); slos != nullptr) {
-    parse_slo_results(*slos, &doc.slos);
+  if (const obs::JsonValue* slos = root.find("slos");
+      slos != nullptr && !parse_slo_results(*slos, &doc.slos)) {
+    return fail("malformed slo result");
   }
   *out = std::move(doc);
   return true;

@@ -226,11 +226,12 @@ bool parse_timeseries_json(std::string_view text, TsDoc* out, std::string* error
 
 // The SLO-verdict array shared by pvm.timeseries.v1 and pvm.fleet.v1:
 // render_slo_results writes it (as the next value of `w`, typically after a
-// key), parse_slo_results reads a parsed JSON array back. Factored out so
-// every schema carrying SLO verdicts serializes them identically and
-// benchdiff gates them with one code path.
+// key), parse_slo_results reads a parsed JSON array back (false when a
+// number field is not an integer in its range). Factored out so every
+// schema carrying SLO verdicts serializes them identically and benchdiff
+// gates them with one code path.
 void render_slo_results(obs::JsonWriter& w, const std::vector<SloResult>& slos);
-void parse_slo_results(const obs::JsonValue& array, std::vector<SloResult>* out);
+bool parse_slo_results(const obs::JsonValue& array, std::vector<SloResult>* out);
 
 // kvm_stat/top-style text dashboard over a document: per-window sparkline
 // trend columns, totals, latency quantiles, worst-window highlight, SLO

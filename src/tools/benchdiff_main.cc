@@ -304,7 +304,10 @@ bool collect_fleet(const obs::JsonValue& doc, const std::string& path,
   }
   if (const obs::JsonValue* slos = doc.find("slos"); slos != nullptr) {
     std::vector<ts::SloResult> results;
-    ts::parse_slo_results(*slos, &results);
+    if (!ts::parse_slo_results(*slos, &results)) {
+      *error = path + ": malformed slo result";
+      return false;
+    }
     for (const ts::SloResult& slo : results) {
       RunMetrics rm;
       rm.label = "slo/" + slo.name + "/" + slo.metric;
@@ -373,8 +376,10 @@ int slo_check_main(const std::string& path) {
   }
   const obs::JsonValue* schema = root.find("schema");
   if (schema != nullptr && schema->is_string() && schema->string == "pvm.fleet.v1") {
-    if (const obs::JsonValue* array = root.find("slos")) {
-      ts::parse_slo_results(*array, &slos);
+    if (const obs::JsonValue* array = root.find("slos");
+        array != nullptr && !ts::parse_slo_results(*array, &slos)) {
+      std::fprintf(stderr, "benchdiff: %s: malformed slo result\n", path.c_str());
+      return 2;
     }
   } else {
     ts::TsDoc doc;

@@ -70,19 +70,6 @@ void usage(std::ostream& out) {
   std::exit(2);
 }
 
-std::vector<std::string> split_csv(std::string_view list) {
-  std::vector<std::string> tokens;
-  while (!list.empty()) {
-    const std::size_t comma = list.find(',');
-    tokens.emplace_back(list.substr(0, comma));
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    list.remove_prefix(comma + 1);
-  }
-  return tokens;
-}
-
 // Named starting points; explicit flags override afterwards.
 void apply_scenario(std::string_view name, pvm::fleet::FleetSpec* spec) {
   if (name == "steady") {
@@ -151,19 +138,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline") {
       spec.deadline_ns = std::strtoull(next_value(i).c_str(), nullptr, 10);
     } else if (arg == "--modes") {
-      const std::string value = next_value(i);
-      spec.modes.clear();
-      if (value == "all") {
-        spec.modes.assign(std::begin(pvm::kAllDeployModes),
-                          std::end(pvm::kAllDeployModes));
-      } else {
-        for (const std::string& token : split_csv(value)) {
-          pvm::DeployMode mode;
-          if (!pvm::parse_deploy_mode_token(token, &mode)) {
-            die("unknown mode '" + token + "'");
-          }
-          spec.modes.push_back(mode);
-        }
+      std::string bad;
+      if (!pvm::parse_deploy_mode_list(next_value(i), &spec.modes, &bad)) {
+        die("unknown mode '" + bad + "'");
       }
     } else if (arg == "--faults") {
       spec.fault_plan = next_value(i);

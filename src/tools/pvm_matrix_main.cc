@@ -15,7 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,9 +123,8 @@ std::string spec_fingerprint(const pvm::sweep::MatrixSpec& spec, bool want_ts,
   return fp;
 }
 
-std::string encode_cell_result(std::size_t index, const pvm::sweep::CellResult& cell) {
+std::string encode_cell_result(const pvm::sweep::CellResult& cell) {
   std::string payload;
-  pvm::wal::put_u64(payload, index);
   pvm::wal::put_u32(payload, cell.ok ? 1 : 0);
   pvm::wal::put_string(payload, cell.error);
   pvm::wal::put_string(payload, cell.bench_json);
@@ -135,13 +134,11 @@ std::string encode_cell_result(std::size_t index, const pvm::sweep::CellResult& 
   return payload;
 }
 
-bool decode_cell_result(std::string_view payload, std::size_t* index,
-                        pvm::sweep::CellResult* cell) {
+bool decode_cell_result(std::string_view payload, pvm::sweep::CellResult* cell) {
   std::size_t cursor = 0;
-  std::uint64_t idx = 0, events = 0;
+  std::uint64_t events = 0;
   std::uint32_t ok = 0;
-  if (!pvm::wal::get_u64(payload, &cursor, &idx) ||
-      !pvm::wal::get_u32(payload, &cursor, &ok) ||
+  if (!pvm::wal::get_u32(payload, &cursor, &ok) ||
       !pvm::wal::get_string(payload, &cursor, &cell->error) ||
       !pvm::wal::get_string(payload, &cursor, &cell->bench_json) ||
       !pvm::wal::get_string(payload, &cursor, &cell->ts_json) ||
@@ -149,7 +146,6 @@ bool decode_cell_result(std::string_view payload, std::size_t* index,
       !pvm::wal::get_u64(payload, &cursor, &events)) {
     return false;
   }
-  *index = static_cast<std::size_t>(idx);
   cell->ok = ok != 0;
   cell->events = events;
   return true;
@@ -184,18 +180,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--modes") {
-      const std::string value = next_value(i);
-      spec.modes.clear();
-      if (value == "all") {
-        spec.modes.assign(std::begin(pvm::kAllDeployModes), std::end(pvm::kAllDeployModes));
-      } else {
-        for (const std::string& token : split_csv(value)) {
-          pvm::DeployMode mode;
-          if (!pvm::parse_deploy_mode_token(token, &mode)) {
-            die("unknown mode '" + token + "'");
-          }
-          spec.modes.push_back(mode);
-        }
+      std::string bad;
+      if (!pvm::parse_deploy_mode_list(next_value(i), &spec.modes, &bad)) {
+        die("unknown mode '" + bad + "'");
       }
     } else if (arg == "--workloads") {
       const std::string value = next_value(i);
@@ -213,19 +200,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--faults") {
       spec.fault_plans = split_csv(next_value(i));
     } else if (arg == "--policies") {
-      const std::string value = next_value(i);
-      if (value == "all") {
-        spec.policies = {pvm::SchedulePolicy::kFifo, pvm::SchedulePolicy::kRandom,
-                         pvm::SchedulePolicy::kLifo};
-      } else {
-        spec.policies.clear();
-        for (const std::string& token : split_csv(value)) {
-          pvm::SchedulePolicy policy;
-          if (!pvm::parse_schedule_policy_token(token, &policy)) {
-            die("unknown policy '" + token + "'");
-          }
-          spec.policies.push_back(policy);
-        }
+      std::string bad;
+      if (!pvm::parse_schedule_policy_list(next_value(i), &spec.policies, &bad)) {
+        die("unknown policy '" + bad + "'");
       }
     } else if (arg == "--seeds") {
       spec.seeds = std::atoi(next_value(i).c_str());
@@ -278,65 +255,38 @@ int main(int argc, char** argv) {
   const bool want_ts = !ts_path.empty();
   const bool want_profile = !profile_path.empty();
 
-  // Checkpoint-resume: replay completed cells from the WAL (a torn tail —
-  // the process died mid-append — is truncated by recovery, so those cells
-  // simply rerun), then append each freshly computed cell and save. The
+  // Checkpoint-resume: replay completed cells (a torn tail costs only the
+  // cells it cut), then append each freshly computed cell and save. The
   // final document is byte-identical to an uninterrupted run because cells
-  // are deterministic and merge by index, never by completion order.
-  const bool use_checkpoint = !checkpoint_path.empty();
-  const std::string fingerprint = spec_fingerprint(spec, want_ts, ts_window_ns, want_profile);
-  std::vector<pvm::sweep::CellResult> cached(spec.cell_count());
-  std::vector<char> have(spec.cell_count(), 0);
-  pvm::wal::Log checkpoint_log("wal:matrix");
-  std::mutex checkpoint_mutex;
-  if (use_checkpoint) {
-    std::string bytes;
-    std::string error;
-    if (!pvm::wal::load_file(checkpoint_path, &bytes, &error)) {
-      die("cannot read checkpoint " + checkpoint_path + ": " + error);
-    }
-    const pvm::wal::RecoveryResult recovered = pvm::wal::recover(bytes);
-    if (recovered.torn_tail) {
-      std::cerr << "pvm-matrix: checkpoint tail truncated (" << recovered.detail
-                << "); rerunning the affected cell(s)\n";
-    }
-    std::size_t replayed = 0;
-    for (const pvm::wal::Record& record : recovered.records) {
-      if (record.type == pvm::wal::RecordType::kHeader) {
-        std::size_t cursor = 0;
-        std::string stored;
-        if (!pvm::wal::get_string(record.payload, &cursor, &stored) ||
-            stored != fingerprint) {
-          die("checkpoint " + checkpoint_path +
-              " was written for a different matrix spec; delete it or rerun "
-              "with the original --modes/--workloads/--faults/--policies/"
-              "--seeds/--timeseries options");
-        }
-      } else if (record.type == pvm::wal::RecordType::kCellResult) {
-        std::size_t index = 0;
-        pvm::sweep::CellResult cell;
-        if (decode_cell_result(record.payload, &index, &cell) && index < cached.size()) {
-          cached[index] = std::move(cell);
-          have[index] = 1;
-          ++replayed;
-        }
+  // are deterministic and merge by index, never by completion order. An
+  // unreadable or stale file is fatal and left as it is.
+  std::vector<std::optional<pvm::sweep::CellResult>> cached(spec.cell_count());
+  std::optional<pvm::wal::ResumeLog> checkpoint;
+  if (!checkpoint_path.empty()) {
+    checkpoint.emplace("pvm-matrix", "cell", checkpoint_path, pvm::wal::RecordType::kCellResult,
+                       spec_fingerprint(spec, want_ts, ts_window_ns, want_profile),
+                       spec.cell_count());
+    switch (checkpoint->load([&cached](std::size_t index, std::string_view payload) {
+      pvm::sweep::CellResult cell;
+      if (!decode_cell_result(payload, &cell)) {
+        return false;
       }
+      cached[index] = std::move(cell);
+      return true;
+    })) {
+      case pvm::wal::ResumeLog::Status::kUnreadable:
+        die("cannot read checkpoint " + checkpoint_path + ": " + checkpoint->error());
+      case pvm::wal::ResumeLog::Status::kStale:
+        die("checkpoint " + checkpoint_path +
+            " was written for a different matrix spec; delete it or rerun "
+            "with the original --modes/--workloads/--faults/--policies/"
+            "--seeds/--timeseries options");
+      case pvm::wal::ResumeLog::Status::kOk:
+        break;
     }
-    if (replayed > 0) {
-      std::fprintf(stderr, "pvm-matrix: replayed %zu of %zu cell(s) from %s\n", replayed,
-                   spec.cell_count(), checkpoint_path.c_str());
-    }
-    // Rebuild the log from scratch: header, then the replayed cells. Fresh
-    // cells append behind them as they complete.
-    checkpoint_log.clear();
-    std::string header;
-    pvm::wal::put_string(header, fingerprint);
-    checkpoint_log.append(pvm::wal::RecordType::kHeader, header);
-    for (std::size_t i = 0; i < cached.size(); ++i) {
-      if (have[i] != 0) {
-        checkpoint_log.append(pvm::wal::RecordType::kCellResult,
-                              encode_cell_result(i, cached[i]));
-      }
+    if (checkpoint->replayed() > 0) {
+      std::fprintf(stderr, "pvm-matrix: replayed %zu of %zu cell(s) from %s\n",
+                   checkpoint->replayed(), spec.cell_count(), checkpoint_path.c_str());
     }
   }
 
@@ -365,8 +315,8 @@ int main(int argc, char** argv) {
   std::atomic<std::uint64_t> fresh_cells{0};
   std::atomic<bool> stopped{false};
   const auto runner = [&](const pvm::sweep::MatrixCell& cell) -> pvm::sweep::CellResult {
-    if (use_checkpoint && have[cell.index] != 0) {
-      return cached[cell.index];
+    if (cached[cell.index].has_value()) {
+      return *cached[cell.index];
     }
     if (checkpoint_stop_after != 0 &&
         fresh_cells.fetch_add(1, std::memory_order_relaxed) >= checkpoint_stop_after) {
@@ -377,14 +327,8 @@ int main(int argc, char** argv) {
       return skipped;
     }
     pvm::sweep::CellResult result = run_cell(cell);
-    if (use_checkpoint) {
-      const std::scoped_lock lock(checkpoint_mutex);
-      checkpoint_log.append(pvm::wal::RecordType::kCellResult,
-                            encode_cell_result(cell.index, result));
-      std::string error;
-      if (!checkpoint_log.save(checkpoint_path, &error)) {
-        std::cerr << "pvm-matrix: checkpoint save failed: " << error << "\n";
-      }
+    if (checkpoint) {
+      checkpoint->append(cell.index, encode_cell_result(result));
     }
     return result;
   };
@@ -396,14 +340,8 @@ int main(int argc, char** argv) {
   if (stopped.load(std::memory_order_relaxed)) {
     // Deliberate mid-run stop: the checkpoint holds everything computed so
     // far; no document is written (it would embed the skipped cells).
-    std::size_t done = 0;
-    for (const char h : have) {
-      done += h != 0 ? 1 : 0;
-    }
-    done += checkpoint_stop_after;
-    if (done > cells.size()) {
-      done = cells.size();
-    }
+    const std::size_t done =
+        std::min<std::size_t>(checkpoint->replayed() + checkpoint_stop_after, cells.size());
     std::fprintf(stderr,
                  "pvm-matrix: stopped after %llu fresh cell(s) (%zu/%zu checkpointed); "
                  "resume with --checkpoint %s\n",
@@ -411,23 +349,9 @@ int main(int argc, char** argv) {
                  checkpoint_path.c_str());
     return 3;
   }
-  if (use_checkpoint) {
-    // Rewrite the completed checkpoint deterministically — header, cells in
-    // index order, terminal checkpoint record — so the file itself is
-    // byte-identical regardless of --jobs or how many resumes it took.
-    checkpoint_log.clear();
-    std::string header;
-    pvm::wal::put_string(header, fingerprint);
-    checkpoint_log.append(pvm::wal::RecordType::kHeader, header);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      checkpoint_log.append(pvm::wal::RecordType::kCellResult,
-                            encode_cell_result(i, cells[i]));
-    }
-    checkpoint_log.append_checkpoint(fingerprint);
-    std::string error;
-    if (!checkpoint_log.save(checkpoint_path, &error)) {
-      std::cerr << "pvm-matrix: checkpoint save failed: " << error << "\n";
-    }
+  if (checkpoint) {
+    // The completed file is the same at any --jobs and after any resumes.
+    checkpoint->complete([&cells](std::size_t i) { return encode_cell_result(cells[i]); });
   }
 
   const std::string document =

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/backends/platform.h"
-#include "src/check/simcheck.h"
 #include "src/metrics/histogram.h"
 #include "src/obs/flight.h"
 #include "src/obs/json.h"
@@ -220,7 +219,7 @@ std::string csv_field(const std::string& field) {
 void print_csv(const std::vector<ModeStats>& all) {
   std::printf("mode,class,reason,count,avg_ns,p99_ns,total_ns\n");
   for (const ModeStats& stats : all) {
-    const std::string token(simcheck_mode_token(stats.mode));
+    const std::string token(deploy_mode_token(stats.mode));
     for (const Row& row : stats.rows) {
       std::printf("%s,%s,%s,%" PRIu64 ",%.1f,%" PRIu64 ",%" PRIu64 "\n",
                   csv_field(token).c_str(), csv_field(row.cls).c_str(),
@@ -243,7 +242,7 @@ void print_json(const std::vector<ModeStats>& all, const StatOptions& options) {
   for (const ModeStats& stats : all) {
     json.begin_object();
     json.key("mode").value(deploy_mode_name(stats.mode));
-    json.key("token").value(simcheck_mode_token(stats.mode));
+    json.key("token").value(deploy_mode_token(stats.mode));
     json.key("sim_ns").value(stats.sim_ns);
     json.key("events").value(stats.events);
     json.key("dropped").value(stats.dropped);
@@ -322,28 +321,10 @@ int stat_main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  if (modes_arg == "all") {
-    options.modes = {DeployMode::kKvmEptBm,  DeployMode::kKvmSptBm,
-                     DeployMode::kPvmBm,     DeployMode::kKvmEptNst,
-                     DeployMode::kPvmNst,    DeployMode::kSptOnEptNst,
-                     DeployMode::kPvmDirectNst};
-  } else {
-    std::size_t start = 0;
-    while (start <= modes_arg.size()) {
-      const std::size_t comma = modes_arg.find(',', start);
-      const std::string token =
-          modes_arg.substr(start, comma == std::string::npos ? comma : comma - start);
-      DeployMode mode;
-      if (!parse_mode_token(token, &mode)) {
-        std::fprintf(stderr, "unknown mode token: %s\n", token.c_str());
-        return usage(argv[0]);
-      }
-      options.modes.push_back(mode);
-      if (comma == std::string::npos) {
-        break;
-      }
-      start = comma + 1;
-    }
+  std::string bad;
+  if (!parse_deploy_mode_list(modes_arg, &options.modes, &bad)) {
+    std::fprintf(stderr, "unknown mode token: %s\n", bad.c_str());
+    return usage(argv[0]);
   }
 
   std::vector<ModeStats> all;

@@ -1,8 +1,10 @@
 #include "src/wal/wal.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 
 #include "src/fault/fault.h"
 
@@ -75,6 +77,14 @@ std::string frame_record(RecordType type, std::uint64_t seq, std::string_view pa
   put_u64(crc_bytes, crc);
   frame.replace(crc_offset, 8, crc_bytes);
   return frame;
+}
+
+// A sweep result record's payload: the job index, then the tool's bytes.
+std::string indexed_payload(std::size_t index, std::string_view payload) {
+  std::string out;
+  put_u64(out, index);
+  out.append(payload);
+  return out;
 }
 
 }  // namespace
@@ -266,6 +276,87 @@ bool load_file(const std::string& path, std::string* bytes, std::string* error) 
   }
   *bytes = std::move(data);
   return true;
+}
+
+ResumeLog::ResumeLog(std::string tool, std::string unit, std::string path,
+                     RecordType result_type, std::string fingerprint, std::size_t jobs)
+    : tool_(std::move(tool)),
+      unit_(std::move(unit)),
+      path_(std::move(path)),
+      result_type_(result_type),
+      fingerprint_(std::move(fingerprint)),
+      jobs_(jobs),
+      log_("wal:" + tool_) {}
+
+ResumeLog::Status ResumeLog::load(
+    const std::function<bool(std::size_t index, std::string_view payload)>& replay) {
+  std::string bytes;
+  const bool readable = load_file(path_, &bytes, &error_);
+  const RecoveryResult recovered = recover(readable ? bytes : std::string_view());
+  if (recovered.torn_tail) {
+    std::cerr << tool_ << ": checkpoint tail truncated (" << recovered.detail
+              << "); rerunning the affected " << unit_ << "(s)\n";
+  }
+  const bool stale = std::any_of(
+      recovered.records.begin(), recovered.records.end(), [this](const Record& record) {
+        std::size_t cursor = 0;
+        std::string stored;
+        return record.type == RecordType::kHeader &&
+               (!get_string(record.payload, &cursor, &stored) || stored != fingerprint_);
+      });
+  // The last record that replays for each job, so the rebuilt log holds
+  // each finished job once, in index order, whatever order they finished in.
+  std::vector<const Record*> kept(jobs_, nullptr);
+  for (const Record& record : recovered.records) {
+    std::size_t cursor = 0;
+    std::uint64_t index = 0;
+    if (!stale && record.type == result_type_ && get_u64(record.payload, &cursor, &index) &&
+        index < jobs_ && replay(index, std::string_view(record.payload).substr(cursor))) {
+      kept[index] = &record;
+    }
+  }
+  begin();
+  replayed_ = 0;
+  for (const Record* record : kept) {
+    if (record != nullptr) {
+      log_.append(result_type_, record->payload);
+      ++replayed_;
+    }
+  }
+  if (!readable) {
+    return Status::kUnreadable;
+  }
+  return stale ? Status::kStale : Status::kOk;
+}
+
+void ResumeLog::save() {
+  std::string error;
+  if (!log_.save(path_, &error)) {
+    std::cerr << tool_ << ": checkpoint save failed: " << error << "\n";
+  }
+}
+
+void ResumeLog::append(std::size_t index, std::string_view payload) {
+  const std::string record = indexed_payload(index, payload);
+  const std::scoped_lock lock(mutex_);
+  log_.append(result_type_, record);
+  save();
+}
+
+void ResumeLog::complete(const std::function<std::string(std::size_t index)>& payload) {
+  begin();
+  for (std::size_t i = 0; i < jobs_; ++i) {
+    log_.append(result_type_, indexed_payload(i, payload(i)));
+  }
+  log_.append_checkpoint(fingerprint_);
+  save();
+}
+
+void ResumeLog::begin() {
+  log_.clear();
+  std::string header;
+  put_string(header, fingerprint_);
+  log_.append(RecordType::kHeader, header);
 }
 
 }  // namespace pvm::wal

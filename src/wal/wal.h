@@ -27,6 +27,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -95,7 +97,7 @@ bool get_string(std::string_view bytes, std::size_t* cursor, std::string* s);
 class Log {
  public:
   // `site` names this log at fault-injection hooks ("wal:migration:vm0",
-  // "wal:matrix", ...), so plans can target one log among several.
+  // "wal:simcheck", ...), so plans can target one log among several.
   explicit Log(std::string site = "wal") : site_(std::move(site)) {}
 
   // Binds the torn-write fault hooks. Null detaches (the default): appends
@@ -158,6 +160,65 @@ RecoveryResult recover(std::string_view bytes);
 // Reads a file fully; a missing file yields an empty stream (fresh log) and
 // returns true. Returns false + `error` only on a real I/O failure.
 bool load_file(const std::string& path, std::string* bytes, std::string* error);
+
+// Checkpoint-resume for a sweep of deterministic jobs that merge by index
+// (simcheck's cases, pvm-matrix's cells). The file is a Log: a kHeader
+// record holding the sweep's fingerprint (every option that changes what a
+// job computes), then one `result_type` record per finished job whose
+// payload is the u64 job index followed by the tool's serialized result.
+// A resumed sweep replays the finished jobs and runs only the rest, so its
+// report is byte-identical to an uninterrupted one; a torn tail costs only
+// the jobs whose records it cut.
+class ResumeLog {
+ public:
+  enum class Status {
+    kOk,          // loaded; a missing file is a fresh, empty log
+    kUnreadable,  // the file could not be read; error() says why
+    kStale,       // the header names a different sweep
+  };
+
+  // `tool` prefixes the lines this log prints on stderr ("simcheck: ...")
+  // and `unit` names one job in them ("case", "cell"). Job indices run
+  // over [0, jobs).
+  ResumeLog(std::string tool, std::string unit, std::string path, RecordType result_type,
+            std::string fingerprint, std::size_t jobs);
+
+  // Loads and recovers the file, reporting a torn tail on stderr. Unless the
+  // file is unreadable or stale, hands each in-range result payload (index
+  // stripped) to `replay`, which returns false for a payload that does not
+  // decode; that record is skipped. The log then holds the header and the
+  // replayed records in index order. Nothing is written to the file here.
+  Status load(const std::function<bool(std::size_t index, std::string_view payload)>& replay);
+
+  const std::string& error() const { return error_; }
+  std::size_t replayed() const { return replayed_; }
+
+  // Writes the log as it stands; a failure is reported on stderr.
+  void save();
+
+  // Appends one finished job's record and saves. Safe from worker threads.
+  void append(std::size_t index, std::string_view payload);
+
+  // Rewrites a completed sweep: the header, payload(i) for every job in
+  // index order, then a kCheckpoint record; and saves. The file is then the
+  // same at any --jobs and after any number of resumes.
+  void complete(const std::function<std::string(std::size_t index)>& payload);
+
+ private:
+  // Clears the log down to its header record.
+  void begin();
+
+  std::string tool_;
+  std::string unit_;
+  std::string path_;
+  RecordType result_type_;
+  std::string fingerprint_;
+  std::size_t jobs_;
+  std::string error_;
+  std::size_t replayed_ = 0;
+  std::mutex mutex_;  // serializes worker appends to log_ and the file
+  Log log_;
+};
 
 }  // namespace pvm::wal
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "src/obs/json_parse.h"
@@ -119,6 +120,38 @@ TEST(JsonParseAdversarial, ErrorsCarryByteOffsets) {
   std::string error;
   EXPECT_FALSE(json_parse("{\"a\": tru}", &value, &error));
   EXPECT_NE(error.find("offset"), std::string::npos);
+}
+
+TEST(JsonCheckedIntegers, AcceptOnlyIntegersInRange) {
+  const auto number = [](const char* text) {
+    JsonValue v;
+    std::string error;
+    EXPECT_TRUE(json_parse(text, &v, &error)) << text << ": " << error;
+    return v;
+  };
+  std::uint64_t u = 7;
+  EXPECT_TRUE(json_u64(nullptr, &u));  // an absent member keeps its default
+  EXPECT_EQ(u, 7u);
+  for (const char* good : {"0", "42", "9007199254740993", "18446744073709549568"}) {
+    const JsonValue v = number(good);
+    EXPECT_TRUE(json_u64(&v, &u)) << good;
+  }
+  EXPECT_EQ(u, 18446744073709549568ull);  // the largest double below 2^64
+  for (const char* bad : {"-1", "2.5", "18446744073709551616", "\"7\"", "null", "[1]"}) {
+    const JsonValue v = number(bad);
+    EXPECT_FALSE(json_u64(&v, &u)) << bad;
+  }
+
+  std::int64_t i = 0;
+  for (const char* good : {"-1", "-9223372036854775808", "9223372036854774784"}) {
+    const JsonValue v = number(good);
+    EXPECT_TRUE(json_i64(&v, &i)) << good;
+  }
+  EXPECT_EQ(i, 9223372036854774784);
+  for (const char* bad : {"-0.5", "9223372036854775808", "-9223372036856000000", "true"}) {
+    const JsonValue v = number(bad);
+    EXPECT_FALSE(json_i64(&v, &i)) << bad;
+  }
 }
 
 }  // namespace

@@ -720,6 +720,20 @@ TEST(ProfDoc, ParseRejectsBucketIndexOutOfRange) {
     EXPECT_FALSE(prof::parse_profile_json(doc_with_bucket(bad), &parsed, &error)) << bad;
     EXPECT_EQ(error, "malformed bucket pair in op op.page_fault") << bad;
   }
+
+  // The op's own numbers are checked too: a count of -1 or a fractional sum
+  // is malformed, not clamped to 0 or truncated.
+  const auto doc_with = [](const std::string& count, const std::string& sum) {
+    return R"({"schema":"pvm.profile.v1","dropped_spans":0,"ops":[{"name":"op.page_fault",)"
+           R"("count":)" +
+           count + R"(,"sum_ns":)" + sum +
+           R"(,"min_ns":5,"max_ns":5,"buckets":[[5,1]],"paths":[],"tail_paths":[]}]})";
+  };
+  ASSERT_TRUE(prof::parse_profile_json(doc_with("1", "5"), &parsed, &error)) << error;
+  for (const auto& [count, sum] : {std::pair{"-1", "5"}, std::pair{"1", "2.5"}}) {
+    EXPECT_FALSE(prof::parse_profile_json(doc_with(count, sum), &parsed, &error)) << count << sum;
+    EXPECT_EQ(error, "malformed op entry") << count << sum;
+  }
 }
 
 TEST(ProfRender, CollapsedStacksSpliceOpKeyOverRootFrame) {

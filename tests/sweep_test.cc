@@ -20,6 +20,56 @@
 namespace pvm {
 namespace {
 
+// ---- The --modes / --policies lists every sweep tool parses ----
+
+TEST(SweepFlagLists, ModesAllIsEveryModeInEnumOrder) {
+  std::vector<DeployMode> modes;
+  std::string bad;
+  ASSERT_TRUE(parse_deploy_mode_list("all", &modes, &bad));
+  EXPECT_EQ(modes, std::vector<DeployMode>(std::begin(kAllDeployModes), std::end(kAllDeployModes)));
+  EXPECT_EQ(modes.size(), 7u);
+}
+
+TEST(SweepFlagLists, ModesKeepTheGivenOrder) {
+  std::vector<DeployMode> modes = {DeployMode::kKvmEptBm};  // replaced, not appended to
+  std::string bad;
+  ASSERT_TRUE(parse_deploy_mode_list("pvm,kvm-spt", &modes, &bad));
+  EXPECT_EQ(modes, (std::vector<DeployMode>{DeployMode::kPvmNst, DeployMode::kKvmSptBm}));
+  ASSERT_TRUE(parse_deploy_mode_list("ept,pvm-direct,ept-bm", &modes, &bad));
+  EXPECT_EQ(modes, (std::vector<DeployMode>{DeployMode::kKvmEptNst, DeployMode::kPvmDirectNst,
+                                            DeployMode::kKvmEptBm}));
+}
+
+TEST(SweepFlagLists, UnknownOrEmptyTokenIsRejectedAndNamed) {
+  std::vector<DeployMode> modes;
+  std::string bad;
+  EXPECT_FALSE(parse_deploy_mode_list("pvm,bogus,ept", &modes, &bad));
+  EXPECT_EQ(bad, "bogus");
+  bad = "unset";
+  EXPECT_FALSE(parse_deploy_mode_list("pvm,", &modes, &bad));
+  EXPECT_EQ(bad, "");
+  bad = "unset";
+  EXPECT_FALSE(parse_deploy_mode_list("", &modes, &bad));
+  EXPECT_EQ(bad, "");
+  EXPECT_FALSE(parse_deploy_mode_list("all,pvm", &modes, &bad));
+  EXPECT_EQ(bad, "all");
+  std::vector<SchedulePolicy> policies;
+  EXPECT_FALSE(parse_schedule_policy_list("fifo,nope", &policies, &bad));
+  EXPECT_EQ(bad, "nope");
+  EXPECT_FALSE(parse_schedule_policy_list(",lifo", &policies, &bad));
+  EXPECT_EQ(bad, "");
+}
+
+TEST(SweepFlagLists, PoliciesAllIsFifoRandomLifo) {
+  std::vector<SchedulePolicy> policies;
+  std::string bad;
+  ASSERT_TRUE(parse_schedule_policy_list("all", &policies, &bad));
+  EXPECT_EQ(policies, (std::vector<SchedulePolicy>{SchedulePolicy::kFifo, SchedulePolicy::kRandom,
+                                                   SchedulePolicy::kLifo}));
+  ASSERT_TRUE(parse_schedule_policy_list("lifo,fifo", &policies, &bad));
+  EXPECT_EQ(policies, (std::vector<SchedulePolicy>{SchedulePolicy::kLifo, SchedulePolicy::kFifo}));
+}
+
 TEST(SweepEngine, EffectiveJobsClampsToAtLeastOne) {
   EXPECT_EQ(sweep::effective_jobs(0), 1);
   EXPECT_EQ(sweep::effective_jobs(-3), 1);

@@ -243,6 +243,28 @@ TEST(TimeseriesJsonTest, ParseRejectsBucketIndexOutOfRange) {
     EXPECT_FALSE(parse_timeseries_json(doc_with_bucket(bad), &doc, &error)) << bad;
     EXPECT_EQ(error, "malformed hist bucket") << bad;
   }
+
+  // Every other integer is checked as well: a negative count, a fractional
+  // sum and an exemplar past the last bucket are malformed, not wrapped to
+  // 2^64 - 1, truncated or kept. A series window, which may be negative,
+  // reads as a signed integer.
+  const auto doc_with = [](std::string_view count, std::string_view sum,
+                           std::string_view exemplar_bucket) {
+    return std::string(R"({"schema":"pvm.timeseries.v1","window_ns":1000,)"
+                       R"("series":[{"name":"g","kind":"gauge","windows":[[0,-3]]}],)"
+                       R"("hists":[{"name":"h","exemplars":[{"bucket":)") +
+           std::string(exemplar_bucket) + R"(,"value":5,"seq":0}],"windows":[{"w":0,"count":)" +
+           std::string(count) + R"(,"sum":)" + std::string(sum) +
+           R"(,"min":5,"max":5,"buckets":[[5,1]]}]}],"slos":[]})";
+  };
+  ASSERT_TRUE(parse_timeseries_json(doc_with("1", "5", "5"), &doc, &error)) << error;
+  EXPECT_EQ(doc.series.at("g").windows.at(0), -3);
+  EXPECT_FALSE(parse_timeseries_json(doc_with("-1", "5", "5"), &doc, &error));
+  EXPECT_EQ(error, "malformed hist window");
+  EXPECT_FALSE(parse_timeseries_json(doc_with("1", "2.5", "5"), &doc, &error));
+  EXPECT_EQ(error, "malformed hist window");
+  EXPECT_FALSE(parse_timeseries_json(doc_with("1", "5", "900"), &doc, &error));
+  EXPECT_EQ(error, "malformed hist exemplar");
 }
 
 TEST(TimeseriesMergeTest, PrefixedShardMergeMatchesSingleStream) {

@@ -4,6 +4,10 @@
 // path replaying to an oracle-clean state (including from a torn tail).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <map>
 
 #include "src/core/memory_engine.h"
 #include "src/fault/fault.h"
@@ -143,6 +147,170 @@ TEST(WalTest, WalcrashPresetParsesAndTargetsWalSites) {
   for (const fault::FaultSpec& spec : plan.specs) {
     EXPECT_EQ(spec.target, "wal");
   }
+}
+
+// ---- Sweep checkpoint-resume (ResumeLog) ----
+
+// A checkpoint path of the calling test's own, with no file behind it yet.
+std::string fresh_checkpoint(const std::string& name) {
+  const std::string path =
+      testing::TempDir() + "resume_" + name + "_" + std::to_string(::getpid()) + ".wal";
+  std::remove(path.c_str());
+  return path;
+}
+
+wal::ResumeLog resume_log(const std::string& path, std::size_t jobs,
+                          const std::string& fingerprint = "sweep;seeds=4") {
+  return wal::ResumeLog("simcheck", "case", path, wal::RecordType::kCaseResult, fingerprint, jobs);
+}
+
+// Loads `log`, returning what it replayed by job index; `reject` names a
+// payload the replay callback refuses to decode.
+std::map<std::size_t, std::string> replay_all(wal::ResumeLog& log, wal::ResumeLog::Status* status,
+                                              std::string_view reject = {}) {
+  std::map<std::size_t, std::string> replayed;
+  *status = log.load([&](std::size_t index, std::string_view payload) {
+    if (!reject.empty() && payload == reject) {
+      return false;
+    }
+    replayed[index] = std::string(payload);
+    return true;
+  });
+  return replayed;
+}
+
+std::string read_file(const std::string& path) {
+  std::string bytes;
+  std::string error;
+  EXPECT_TRUE(wal::load_file(path, &bytes, &error)) << error;
+  return bytes;
+}
+
+TEST(ResumeLogTest, MissingFileIsAFreshLog) {
+  const std::string path = fresh_checkpoint("fresh");
+  wal::ResumeLog log = resume_log(path, 4);
+  wal::ResumeLog::Status status;
+  EXPECT_TRUE(replay_all(log, &status).empty());
+  EXPECT_EQ(status, wal::ResumeLog::Status::kOk);
+  EXPECT_EQ(log.replayed(), 0u);
+
+  // Saved, the fresh log is its header alone: the fingerprint, first.
+  log.save();
+  const wal::RecoveryResult r = wal::recover(read_file(path));
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].type, wal::RecordType::kHeader);
+  std::size_t cursor = 0;
+  std::string fingerprint;
+  ASSERT_TRUE(wal::get_string(r.records[0].payload, &cursor, &fingerprint));
+  EXPECT_EQ(fingerprint, "sweep;seeds=4");
+  std::remove(path.c_str());
+}
+
+TEST(ResumeLogTest, ReplayReturnsPayloadsByIndex) {
+  const std::string path = fresh_checkpoint("replay");
+  wal::ResumeLog::Status status;
+  {
+    wal::ResumeLog first = resume_log(path, 4);
+    replay_all(first, &status);
+    first.append(2, "two");  // jobs finish out of index order
+    first.append(0, "zero");
+  }
+  wal::ResumeLog resumed = resume_log(path, 4);
+  const std::map<std::size_t, std::string> replayed = replay_all(resumed, &status);
+  EXPECT_EQ(status, wal::ResumeLog::Status::kOk);
+  EXPECT_EQ(replayed, (std::map<std::size_t, std::string>{{0, "zero"}, {2, "two"}}));
+  EXPECT_EQ(resumed.replayed(), 2u);
+
+  // A completed sweep is rewritten in index order, whatever order its jobs
+  // finished in: the same bytes as one that appended them in order.
+  const auto payload = [](std::size_t i) { return "job" + std::to_string(i); };
+  resumed.append(3, "three");
+  resumed.complete(payload);
+  const std::string in_order_path = fresh_checkpoint("replay_in_order");
+  wal::ResumeLog in_order = resume_log(in_order_path, 4);
+  replay_all(in_order, &status);
+  for (std::size_t i = 0; i < 4; ++i) {
+    in_order.append(i, payload(i));
+  }
+  in_order.complete(payload);
+  EXPECT_EQ(read_file(path), read_file(in_order_path));
+  const wal::RecoveryResult r = wal::recover(read_file(path));
+  ASSERT_EQ(r.records.size(), 6u);  // header, four jobs, checkpoint
+  EXPECT_EQ(r.records[5].type, wal::RecordType::kCheckpoint);
+  std::remove(path.c_str());
+  std::remove(in_order_path.c_str());
+}
+
+TEST(ResumeLogTest, RecordCutMidPayloadIsDroppedAsTornTail) {
+  const std::string path = fresh_checkpoint("torn");
+  wal::ResumeLog::Status status;
+  {
+    wal::ResumeLog first = resume_log(path, 4);
+    replay_all(first, &status);
+    first.append(0, "zero");
+    first.append(1, "one");
+    first.append(2, "two");
+  }
+  // Cut the last record two bytes into its payload (u64 index + "two"), as
+  // a crash mid-append would.
+  const std::string bytes = read_file(path);
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const std::string torn = bytes.substr(0, bytes.size() - (8 + 3) + 2);
+    std::fwrite(torn.data(), 1, torn.size(), file);
+    std::fclose(file);
+  }
+  wal::ResumeLog resumed = resume_log(path, 4);
+  testing::internal::CaptureStderr();
+  const std::map<std::size_t, std::string> replayed = replay_all(resumed, &status);
+  const std::string report = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(status, wal::ResumeLog::Status::kOk);
+  EXPECT_EQ(replayed, (std::map<std::size_t, std::string>{{0, "zero"}, {1, "one"}}));
+  EXPECT_NE(report.find("simcheck: checkpoint tail truncated (torn payload at offset"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("); rerunning the affected case(s)\n"), std::string::npos) << report;
+  std::remove(path.c_str());
+}
+
+TEST(ResumeLogTest, HeaderOfAnotherSweepIsStale) {
+  const std::string path = fresh_checkpoint("stale");
+  wal::ResumeLog::Status status;
+  {
+    wal::ResumeLog first = resume_log(path, 4, "sweep;seeds=4");
+    replay_all(first, &status);
+    first.append(1, "one");
+  }
+  const std::string before = read_file(path);
+  wal::ResumeLog other = resume_log(path, 4, "sweep;seeds=8");
+  EXPECT_TRUE(replay_all(other, &status).empty());
+  EXPECT_EQ(status, wal::ResumeLog::Status::kStale);
+  EXPECT_EQ(other.replayed(), 0u);
+  // Loading writes nothing: a tool that refuses a stale file leaves it be.
+  EXPECT_EQ(read_file(path), before);
+  std::remove(path.c_str());
+}
+
+TEST(ResumeLogTest, SkipsOutOfRangeAndUndecodableRecords) {
+  const std::string path = fresh_checkpoint("skip");
+  wal::ResumeLog::Status status;
+  {
+    wal::ResumeLog wide = resume_log(path, 8);
+    replay_all(wide, &status);
+    wide.append(1, "one");
+    wide.append(2, "garbage");
+    wide.append(6, "six");  // in range for 8 jobs, not for 4
+  }
+  wal::ResumeLog narrow = resume_log(path, 4);
+  const std::map<std::size_t, std::string> replayed = replay_all(narrow, &status, "garbage");
+  EXPECT_EQ(status, wal::ResumeLog::Status::kOk);
+  EXPECT_EQ(replayed, (std::map<std::size_t, std::string>{{1, "one"}}));
+  EXPECT_EQ(narrow.replayed(), 1u);
+  // Skipped records do not survive into the rebuilt log.
+  narrow.save();
+  EXPECT_EQ(wal::recover(read_file(path)).records.size(), 2u);  // header, job 1
+  std::remove(path.c_str());
 }
 
 // ---- Shadow-engine checkpoint/restore on the WAL ----
