@@ -108,26 +108,32 @@ inline void print_header(const char* experiment, const char* paper_ref, const ch
 //                    fold-time p99, worst-instance anchors), one namespace
 //                    per run ("<label>/<op>"). Render with pvm-profile.
 //
-// Measurement bodies reach a BenchIo only through hooks(). With none of the
-// export flags given, recording is a no-op and no span recorder is attached
-// to any platform, so simulations run exactly as before (the instrumented
-// sites see a null recorder — one pointer check).
+// Any other argument, or a value flag without its value, exits 2 before any
+// output. Measurement bodies reach a BenchIo only through hooks(). With none
+// of the export flags given, recording is a no-op and no span recorder is
+// attached to any platform, so simulations run exactly as before (the
+// instrumented sites see a null recorder — one pointer check).
 class BenchIo {
  public:
-  // Parses the flags above. Arguments it does not consume stay, after
-  // argv[0], in unparsed_args().
-  BenchIo(int argc, char** argv, std::string bench_name)
-      : export_(std::move(bench_name)), unparsed_args_{argv[0]} {
+  // Parses the flags above; anything else exits 2.
+  BenchIo(int argc, char** argv, std::string bench_name) : export_(std::move(bench_name)) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--json" && i + 1 < argc) {
-        json_path_ = argv[++i];
-      } else if (arg == "--trace" && i + 1 < argc) {
-        trace_path_ = argv[++i];
+      const auto value = [&] {
+        if (i + 1 == argc) {
+          std::fprintf(stderr, "[bench] %s needs a value\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--json") {
+        json_path_ = value();
+      } else if (arg == "--trace") {
+        trace_path_ = value();
       } else if (arg == "--report") {
         report_ = true;
-      } else if (arg == "--faults" && i + 1 < argc) {
-        fault_plan_ = argv[++i];
+      } else if (arg == "--faults") {
+        fault_plan_ = value();
         try {
           fault::FaultPlan::parse(fault_plan_);
         } catch (const std::exception& e) {
@@ -136,25 +142,26 @@ class BenchIo {
         }
       } else if (arg == "--alloc-stats") {
         alloc_stats_ = true;
-      } else if (arg == "--timeseries" && i + 1 < argc) {
-        timeseries_path_ = argv[++i];
-      } else if (arg == "--ts-window" && i + 1 < argc) {
-        ts_window_ns_ = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--slo" && i + 1 < argc) {
+      } else if (arg == "--timeseries") {
+        timeseries_path_ = value();
+      } else if (arg == "--ts-window") {
+        ts_window_ns_ = std::strtoull(value(), nullptr, 10);
+      } else if (arg == "--slo") {
         ts::SloSpec spec;
         std::string error;
-        if (!ts::parse_slo_spec(argv[++i], &spec, &error)) {
+        if (!ts::parse_slo_spec(value(), &spec, &error)) {
           std::fprintf(stderr, "[bench] bad --slo spec '%s': %s\n", argv[i],
                        error.c_str());
           std::exit(2);
         }
         slo_specs_.push_back(std::move(spec));
-      } else if (arg == "--flight-capacity" && i + 1 < argc) {
-        flight_capacity_ = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--profile" && i + 1 < argc) {
-        profile_path_ = argv[++i];
+      } else if (arg == "--flight-capacity") {
+        flight_capacity_ = std::strtoull(value(), nullptr, 10);
+      } else if (arg == "--profile") {
+        profile_path_ = value();
       } else {
-        unparsed_args_.push_back(argv[i]);
+        std::fprintf(stderr, "[bench] unknown flag '%s'\n", arg.c_str());
+        std::exit(2);
       }
     }
   }
@@ -189,8 +196,6 @@ class BenchIo {
     }
   }
   const std::string& fault_plan() const { return fault_plan_; }
-
-  std::vector<char*> unparsed_args() const { return unparsed_args_; }
 
   // A values-only row (derived numbers with no backing platform).
   void record_values(const std::string& label,
@@ -360,7 +365,6 @@ class BenchIo {
   }
 
   obs::BenchExport export_;
-  std::vector<char*> unparsed_args_;
   std::string json_path_;
   std::string trace_path_;
   std::string fault_plan_;

@@ -421,18 +421,14 @@ class ExportingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 }  // namespace pvm
 
-// Custom main instead of BENCHMARK_MAIN(): BenchIo consumes the repo-wide
-// bench flags first and google-benchmark sees only the rest, so
-// simcore_micro takes the same flags as every other bench binary.
+// Custom main instead of BENCHMARK_MAIN(): google-benchmark strips its own
+// --benchmark_* flags first and BenchIo parses the rest, so simcore_micro
+// takes the same flags as every other bench binary and rejects the same
+// unknown ones.
 int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
   pvm::BenchIo io(argc, argv, "simcore_micro");
   pvm::g_hooks = io.hooks();
-  std::vector<char*> args = io.unparsed_args();
-  int adjusted_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&adjusted_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(adjusted_argc, args.data())) {
-    return 1;
-  }
   pvm::ExportingReporter reporter(io);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   io.finish();

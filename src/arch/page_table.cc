@@ -6,7 +6,7 @@ namespace pvm {
 
 PageTable::PageTable(std::string name, FrameAllocator* allocator)
     : name_(std::move(name)), allocator_(allocator) {
-  root_ = node_slab_.acquire();
+  root_ = directory_slab_.acquire();
   root_->level = kPageTableLevels;
   root_->frame = allocator_ ? allocator_->allocate_or_throw() : synthetic_next_frame_++;
   node_count_ = 1;
@@ -23,7 +23,8 @@ PageTable::~PageTable() {
 PageTable::PageTable(PageTable&& other) noexcept
     : name_(std::move(other.name_)),
       allocator_(other.allocator_),
-      node_slab_(std::move(other.node_slab_)),
+      directory_slab_(std::move(other.directory_slab_)),
+      leaf_slab_(std::move(other.leaf_slab_)),
       root_(other.root_),
       synthetic_next_frame_(other.synthetic_next_frame_),
       node_count_(other.node_count_),
@@ -40,7 +41,8 @@ PageTable& PageTable::operator=(PageTable&& other) noexcept {
     // down by its destructor (frames released there, slabs freed there).
     std::swap(name_, other.name_);
     std::swap(allocator_, other.allocator_);
-    std::swap(node_slab_, other.node_slab_);
+    std::swap(directory_slab_, other.directory_slab_);
+    std::swap(leaf_slab_, other.leaf_slab_);
     std::swap(root_, other.root_);
     std::swap(synthetic_next_frame_, other.synthetic_next_frame_);
     std::swap(node_count_, other.node_count_);
@@ -49,8 +51,8 @@ PageTable& PageTable::operator=(PageTable&& other) noexcept {
   return *this;
 }
 
-void PageTable::release_node_frames(Node& node) {
-  for (Node* child : node.children) {
+void PageTable::release_node_frames(const Node& node) {
+  for (const Node* child : children(node)) {
     if (child != nullptr) {
       release_node_frames(*child);
     }
@@ -61,7 +63,7 @@ void PageTable::release_node_frames(Node& node) {
 }
 
 void PageTable::destroy_subtree(Node* node) {
-  for (Node* child : node->children) {
+  for (Node* child : children(*node)) {
     if (child != nullptr) {
       destroy_subtree(child);
     }
@@ -69,45 +71,47 @@ void PageTable::destroy_subtree(Node* node) {
   if (allocator_) {
     allocator_->free(node->frame);
   }
-  node_slab_.release(node);
+  if (node->level == 1) {
+    leaf_slab_.release(static_cast<Leaf*>(node));
+  } else {
+    directory_slab_.release(static_cast<Directory*>(node));
+  }
 }
 
 std::uint64_t PageTable::root_frame() const { return root_->frame; }
 
-PageTable::Node* PageTable::ensure_child(Node& parent, std::uint64_t index, MapResult& result) {
+PageTable::Node* PageTable::ensure_child(Directory& parent, std::uint64_t index,
+                                         MapResult& result) {
   if (!parent.children[index]) {
-    Node* child = node_slab_.acquire();
+    Node* child = parent.level == 2 ? static_cast<Node*>(leaf_slab_.acquire())
+                                    : directory_slab_.acquire();
     child->level = parent.level - 1;
     child->frame = allocator_ ? allocator_->allocate_or_throw() : synthetic_next_frame_++;
     ++node_count_;
     ++result.nodes_allocated;
-    // Installing the child's frame into the parent entry is a PTE store.
-    parent.entries[index] = Pte::make(child->frame, PteFlags::rw_user());
+    // Installing the child's frame into the parent entry is a PTE store;
+    // the child pointer below stands for that entry.
     ++result.entries_written;
     parent.children[index] = child;
   }
   return parent.children[index];
 }
 
-PageTable::Node* PageTable::leaf_node(std::uint64_t va) const {
+PageTable::Leaf* PageTable::leaf_node(std::uint64_t va) const {
   Node* node = root_;
-  for (int level = kPageTableLevels; level > 1; --level) {
-    node = node->children[table_index(va, level)];
-    if (node == nullptr) {
-      return nullptr;
-    }
+  for (int level = kPageTableLevels; level > 1 && node != nullptr; --level) {
+    node = static_cast<Directory*>(node)->children[table_index(va, level)];
   }
-  return node;
+  return static_cast<Leaf*>(node);
 }
 
 MapResult PageTable::map(std::uint64_t va, std::uint64_t frame_number, const PteFlags& flags) {
   MapResult result;
   Node* node = root_;
   for (int level = kPageTableLevels; level > 1; --level) {
-    node = ensure_child(*node, table_index(va, level), result);
+    node = ensure_child(*static_cast<Directory*>(node), table_index(va, level), result);
   }
-  const std::uint64_t leaf_index = table_index(va, 1);
-  Pte& leaf = node->entries[leaf_index];
+  Pte& leaf = static_cast<Leaf*>(node)->entries[table_index(va, 1)];
   if (leaf.present()) {
     result.replaced = true;
   } else {
@@ -124,16 +128,15 @@ WalkResult PageTable::walk(std::uint64_t va, AccessType access, bool user_mode) 
   for (int level = kPageTableLevels; level > 1; --level) {
     result.node_frames[result.levels_walked] = node->frame;
     ++result.levels_walked;
-    const std::uint64_t index = table_index(va, level);
-    if (!node->entries[index].present() || !node->children[index]) {
+    node = static_cast<const Directory*>(node)->children[table_index(va, level)];
+    if (node == nullptr) {
       result.missing_level = level;
       return result;
     }
-    node = node->children[index];
   }
   result.node_frames[result.levels_walked] = node->frame;
   ++result.levels_walked;
-  const Pte& leaf = node->entries[table_index(va, 1)];
+  const Pte& leaf = static_cast<const Leaf*>(node)->entries[table_index(va, 1)];
   if (!leaf.present()) {
     result.missing_level = 1;
     return result;
@@ -165,12 +168,12 @@ bool PageTable::unmap(std::uint64_t va) {
 }
 
 Pte* PageTable::find_pte(std::uint64_t va) {
-  Node* node = leaf_node(va);
+  Leaf* node = leaf_node(va);
   return node != nullptr ? &node->entries[table_index(va, 1)] : nullptr;
 }
 
 const Pte* PageTable::find_pte(std::uint64_t va) const {
-  const Node* node = leaf_node(va);
+  const Leaf* node = leaf_node(va);
   return node != nullptr ? &node->entries[table_index(va, 1)] : nullptr;
 }
 
@@ -184,7 +187,6 @@ void PageTable::clear() {
     }
   }
   // Rebuild bookkeeping: only the root remains.
-  root_->entries.fill(Pte());
   node_count_ = 1;
   leaf_count_ = 0;
 }
@@ -197,7 +199,7 @@ bool PageTable::subtree_owns_frame(const Node& node, std::uint64_t frame) {
   if (node.frame == frame) {
     return true;
   }
-  for (const Node* child : node.children) {
+  for (const Node* child : children(node)) {
     if (child != nullptr && subtree_owns_frame(*child, frame)) {
       return true;
     }

@@ -10,12 +10,19 @@
 // the PTE stores each mapping performed — the unit at which shadow-paging
 // write-protect traps fire (paper §3.3.2: an n-level GPT update costs n trap
 // rounds).
+//
+// Each table page is sized to its level: a leaf table (level 1) holds its
+// 512 PTEs, a directory (levels 2-4) its 512 child pointers. A directory
+// entry is the rw/user PTE naming its child's frame, present exactly when
+// the child exists, so the child pointer stands for it: the store is still
+// counted, and a walk tests the pointer.
 
 #ifndef PVM_SRC_ARCH_PAGE_TABLE_H_
 #define PVM_SRC_ARCH_PAGE_TABLE_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "src/arch/addresses.h"
@@ -52,7 +59,7 @@ class PageTable {
   ~PageTable();
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
-  // Moves transfer the node slab wholesale; node pointers stay valid because
+  // Moves transfer the node slabs wholesale; node pointers stay valid because
   // slabs live on the heap, not inside the PageTable object.
   PageTable(PageTable&& other) noexcept;
   PageTable& operator=(PageTable&& other) noexcept;
@@ -102,23 +109,39 @@ class PageTable {
   // (arena-per-owner), so node churn — shadow-table teardown/rebuild cycles
   // in particular — recycles slots instead of hitting the heap. Feeds the
   // opt-in `alloc` section of the bench export.
-  const SlabStats& node_alloc_stats() const { return node_slab_.stats(); }
+  SlabStats node_alloc_stats() const {
+    SlabStats stats = directory_slab_.stats();
+    stats += leaf_slab_.stats();
+    return stats;
+  }
 
  private:
-  // One table page: 512 PTEs plus the child pointers that mirror them.
-  // Trivially destructible by design — the owning slab frees all node memory
-  // wholesale in ~PageTable with no per-node walk (frames still need a walk,
-  // but only when a FrameAllocator is attached).
+  // One table page, 4,112 bytes either way. Trivially destructible by
+  // design — the owning slabs free all node memory wholesale in ~PageTable
+  // with no per-node walk (frames still need a walk, but only when a
+  // FrameAllocator is attached).
   struct Node {
     std::uint64_t frame = 0;
     int level = 0;  // 4 = root (PML4) ... 1 = leaf page table
-    std::array<Pte, kEntriesPerNode> entries{};
+  };
+  struct Directory : Node {
     std::array<Node*, kEntriesPerNode> children{};
   };
+  struct Leaf : Node {
+    std::array<Pte, kEntriesPerNode> entries{};
+  };
 
-  Node* ensure_child(Node& parent, std::uint64_t index, MapResult& result);
-  Node* leaf_node(std::uint64_t va) const;
-  void release_node_frames(Node& node);
+  // A directory's child slots; none for a leaf table.
+  static std::span<Node* const> children(const Node& node) {
+    if (node.level == 1) {
+      return {};
+    }
+    return static_cast<const Directory&>(node).children;
+  }
+
+  Node* ensure_child(Directory& parent, std::uint64_t index, MapResult& result);
+  Leaf* leaf_node(std::uint64_t va) const;
+  void release_node_frames(const Node& node);
   void destroy_subtree(Node* node);
   static bool subtree_owns_frame(const Node& node, std::uint64_t frame);
 
@@ -127,24 +150,26 @@ class PageTable {
     const std::uint64_t shift = kPageShift + 9 * static_cast<std::uint64_t>(node.level - 1);
     for (std::uint64_t i = 0; i < kEntriesPerNode; ++i) {
       if (node.level == 1) {
-        if (node.entries[i].present()) {
-          fn(canonical_address(prefix | (i << shift)), node.entries[i]);
+        const Pte& pte = static_cast<const Leaf&>(node).entries[i];
+        if (pte.present()) {
+          fn(canonical_address(prefix | (i << shift)), pte);
         }
-      } else if (node.children[i]) {
-        visit_leaves(*node.children[i], prefix | (i << shift), fn);
+      } else if (const Node* child = children(node)[i]) {
+        visit_leaves(*child, prefix | (i << shift), fn);
       }
     }
   }
 
   std::string name_;
   FrameAllocator* allocator_;
-  // First slab holds one node (~8 KiB), the root, and each later slab
-  // doubles, so a table reserves less than twice the nodes it uses. Most
+  // Each kind's first slab holds one node and each later slab doubles, so a
+  // table reserves less than twice the nodes of each kind it uses. Most
   // tables are small (a process's GPT and SPTs map a few regions), and
   // their unused slots would still take heap: a first slab of 8 nodes put
   // perfbench `apps` at 39 MiB peak RSS instead of 32.
-  SlabAllocator<Node> node_slab_{1};
-  Node* root_ = nullptr;
+  SlabAllocator<Directory> directory_slab_{1};
+  SlabAllocator<Leaf> leaf_slab_{1};
+  Directory* root_ = nullptr;
   std::uint64_t synthetic_next_frame_ = 1ull << 40;  // out-of-band ids w/o allocator
   std::uint64_t node_count_ = 0;
   std::uint64_t leaf_count_ = 0;
@@ -153,7 +178,7 @@ class PageTable {
 template <typename Mutate>
 bool PageTable::update_pte(std::uint64_t va, Mutate&& mutate,
                            std::uint64_t* touched_table_frame) {
-  Node* node = leaf_node(va);
+  Leaf* node = leaf_node(va);
   if (node == nullptr) {
     return false;
   }

@@ -412,6 +412,7 @@ int run_simcheck_sweep(const SweepOptions& options, std::ostream& out) {
   // index (or running the case inline when --jobs 1 left the slot empty —
   // which also preserves the serial sweep's early-stop laziness).
   int failing_combinations = 0;
+  std::vector<std::size_t> merged(combos.size(), 0);  // seeds read per combination
   for (std::size_t combo = 0; combo < combos.size(); ++combo) {
     const DeployMode mode = combos[combo].mode;
     const SchedulePolicy policy = combos[combo].policy;
@@ -424,6 +425,7 @@ int run_simcheck_sweep(const SweepOptions& options, std::ostream& out) {
         record_case(combo * seeds + i, *results[combo][i]);
       }
       const SimcheckResult& r = *results[combo][i];
+      ++merged[combo];
       if (options.verbose) {
         out << (r.ok ? "ok   " : "FAIL ") << case_label(c) << ": events=" << r.events
             << " fills=" << r.fills << " races=" << r.fill_races << "\n";
@@ -461,6 +463,17 @@ int run_simcheck_sweep(const SweepOptions& options, std::ostream& out) {
       out << "ok   " << deploy_mode_name(mode) << " x " << schedule_policy_name(policy)
           << ": " << passed << " seeds\n";
     }
+  }
+  // The completed file holds exactly the cases the merge read, in index
+  // order, so it is the same at any --jobs and after any resume; cases a
+  // parallel sweep ran past a combination's first failure are left out.
+  if (checkpoint) {
+    checkpoint->complete([&](std::size_t index) -> std::optional<std::string> {
+      if (index % seeds >= merged[index / seeds]) {
+        return std::nullopt;
+      }
+      return encode_case_result(*results[index / seeds][index % seeds]);
+    });
   }
   return failing_combinations;
 }

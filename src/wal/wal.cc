@@ -343,10 +343,13 @@ void ResumeLog::append(std::size_t index, std::string_view payload) {
   save();
 }
 
-void ResumeLog::complete(const std::function<std::string(std::size_t index)>& payload) {
+void ResumeLog::complete(
+    const std::function<std::optional<std::string>(std::size_t index)>& payload) {
   begin();
   for (std::size_t i = 0; i < jobs_; ++i) {
-    log_.append(result_type_, indexed_payload(i, payload(i)));
+    if (const std::optional<std::string> job = payload(i)) {
+      log_.append(result_type_, indexed_payload(i, *job));
+    }
   }
   log_.append_checkpoint(fingerprint_);
   save();

@@ -200,9 +200,10 @@ class ResumeLog {
   void append(std::size_t index, std::string_view payload);
 
   // Rewrites a completed sweep: the header, payload(i) for every job in
-  // index order, then a kCheckpoint record; and saves. The file is then the
-  // same at any --jobs and after any number of resumes.
-  void complete(const std::function<std::string(std::size_t index)>& payload);
+  // index order (a job whose payload is nullopt is left out), then a
+  // kCheckpoint record; and saves. The file is then the same at any --jobs
+  // and after any number of resumes.
+  void complete(const std::function<std::optional<std::string>(std::size_t index)>& payload);
 
  private:
   // Clears the log down to its header record.

@@ -1,5 +1,6 @@
 // Randomized property tests against reference models: page-table operations
-// vs a std::map oracle, the TLB vs a linear-scan reference TLB, VMCS merge
+// vs a std::map oracle, page-table structure vs a node model, the TLB vs a
+// linear-scan reference TLB, VMCS merge
 // over random field values, and the simulation's misuse guards.
 
 #include <gtest/gtest.h>
@@ -10,6 +11,9 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/arch/page_table.h"
 #include "src/arch/tlb.h"
@@ -137,6 +141,158 @@ TEST_P(PageTableFuzz, MatchesOracleUnderOpMix) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageTableFuzz,
                          ::testing::ValuesIn(sharded_seeds({3, 17, 71, 313, 1409})));
+
+// --- Page-table structure vs a (level, prefix) node model ---
+//
+// PageTableFuzz checks what a table translates; this checks the tree that
+// does it. The model holds every table page as (level, address bits above
+// the page's span) -> frame, so it predicts what `map` allocates and writes,
+// which pages `walk` loads and where it stops, when `find_pte` and
+// `update_pte` find a leaf table, and what `clear` leaves behind.
+
+class PageTableTreeModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PageTableTreeModel, MatchesNodeModelUnderOpMix) {
+  Xoshiro256 rng(GetParam());
+  FrameAllocator alloc("tree", 1u << 20);
+  PageTable table("tree", &alloc);
+  using NodeKey = std::pair<int, std::uint64_t>;
+  const auto node_key = [](std::uint64_t va, int level) {
+    const std::uint64_t va48 = va & ((1ull << 48) - 1);
+    return NodeKey{level, va48 >> (kPageShift + 9 * static_cast<std::uint64_t>(level))};
+  };
+  std::map<NodeKey, std::uint64_t> nodes{{node_key(0, kPageTableLevels), table.root_frame()}};
+  std::set<std::uint64_t> live_frames{table.root_frame()};
+  std::map<std::uint64_t, std::uint64_t> leaves;  // canonical va -> frame
+
+  // Half the draws land near a mapped page: on it, on the next page, in the
+  // next leaf table or under the next L2 table. The rest are scattered over
+  // both halves of the address space.
+  auto random_va = [&] {
+    if (rng.next_bool(0.5) && !leaves.empty()) {
+      auto it = leaves.begin();
+      std::advance(it, static_cast<long>(rng.next_below(leaves.size())));
+      const std::uint64_t strides[] = {0, kPageSize, kPageSize << 9, kPageSize << 18};
+      return canonical_address(it->first + strides[rng.next_below(4)]);
+    }
+    const std::uint64_t user = rng.next_below(1ull << 47) & ~kPageMask;
+    return rng.next_bool(0.3) ? canonical_address(user | (1ull << 47)) : user;
+  };
+
+  // A walk loads each existing page from the root down and stops at the
+  // first missing one, whose parent's level is the missing level.
+  auto expect_walk = [&](std::uint64_t va, int step) {
+    const WalkResult walk = table.walk(va, AccessType::kRead, false);
+    int loaded = 0;
+    int missing = 0;
+    for (int level = kPageTableLevels; level >= 1; --level) {
+      const auto it = nodes.find(node_key(va, level));
+      if (it == nodes.end()) {
+        missing = level + 1;
+        break;
+      }
+      ASSERT_EQ(walk.node_frames[loaded], it->second)
+          << "va=" << va << " level=" << level << " step=" << step;
+      ++loaded;
+    }
+    const bool present = leaves.contains(va);
+    if (missing == 0 && !present) {
+      missing = 1;
+    }
+    ASSERT_EQ(walk.levels_walked, loaded) << "va=" << va << " step=" << step;
+    ASSERT_EQ(walk.missing_level, missing) << "va=" << va << " step=" << step;
+    ASSERT_EQ(walk.present, present) << "va=" << va << " step=" << step;
+    if (present) {
+      ASSERT_EQ(walk.pte.frame_number(), leaves.at(va));
+    }
+  };
+
+  for (int step = 0, steps = fuzz_steps(4000); step < steps; ++step) {
+    const double draw = rng.next_double();
+    const std::uint64_t va = random_va();
+    const bool has_leaf_table = nodes.contains(node_key(va, 1));
+    if (draw < 0.40) {
+      int missing = 0;
+      for (int level = kPageTableLevels - 1; level >= 1; --level) {
+        missing += nodes.contains(node_key(va, level)) ? 0 : 1;
+      }
+      const std::uint64_t frame = rng.next_below(1u << 20);
+      const MapResult result = table.map(va, frame, PteFlags::rw_user());
+      ASSERT_EQ(result.nodes_allocated, missing) << "va=" << va << " step=" << step;
+      ASSERT_EQ(result.entries_written, missing + 1) << "va=" << va << " step=" << step;
+      ASSERT_EQ(result.replaced, leaves.contains(va)) << "va=" << va << " step=" << step;
+      leaves[va] = frame;
+      // Each page the map created has a frame no other live page holds.
+      const WalkResult walk = table.walk(va, AccessType::kRead, false);
+      ASSERT_EQ(walk.levels_walked, kPageTableLevels);
+      for (int level = kPageTableLevels - 1; level >= 1; --level) {
+        const std::uint64_t node_frame = walk.node_frames[kPageTableLevels - level];
+        if (nodes.emplace(node_key(va, level), node_frame).second) {
+          ASSERT_TRUE(live_frames.insert(node_frame).second)
+              << "frame " << node_frame << " backs two pages, step=" << step;
+        }
+      }
+    } else if (draw < 0.55) {
+      const bool existed = leaves.erase(va) > 0;
+      ASSERT_EQ(table.unmap(va), existed) << "va=" << va << " step=" << step;
+    } else if (draw < 0.75) {
+      // Both succeed exactly when the leaf table exists, present entry or not.
+      ASSERT_EQ(table.find_pte(va) != nullptr, has_leaf_table) << "va=" << va << " step=" << step;
+      std::uint64_t touched = 0;
+      const bool updated =
+          table.update_pte(va, [](Pte& pte) { pte.set_writable(true); }, &touched);
+      ASSERT_EQ(updated, has_leaf_table) << "va=" << va << " step=" << step;
+      if (updated) {
+        ASSERT_EQ(touched, nodes.at(node_key(va, 1)));
+      }
+    } else if (draw < 0.995) {
+      ASSERT_NO_FATAL_FAILURE(expect_walk(va, step));
+    } else {
+      std::vector<std::uint64_t> mapped;
+      for (const auto& [leaf_va, frame] : leaves) {
+        mapped.push_back(leaf_va);
+      }
+      table.clear();
+      const std::uint64_t root = table.root_frame();
+      ASSERT_EQ(root, nodes.at(node_key(0, kPageTableLevels)));
+      std::set<std::uint64_t> freed = live_frames;
+      freed.erase(root);
+      nodes = {{node_key(0, kPageTableLevels), root}};
+      live_frames = {root};
+      leaves.clear();
+      ASSERT_EQ(table.node_count(), 1u);
+      ASSERT_EQ(table.present_leaf_count(), 0u);
+      for (const std::uint64_t leaf_va : mapped) {
+        const WalkResult walk = table.walk(leaf_va, AccessType::kRead, false);
+        ASSERT_EQ(walk.missing_level, kPageTableLevels) << "va=" << leaf_va;
+        ASSERT_EQ(walk.levels_walked, 1) << "va=" << leaf_va;
+      }
+      ASSERT_TRUE(table.owns_table_frame(root));
+      for (const std::uint64_t frame : freed) {
+        ASSERT_FALSE(table.owns_table_frame(frame)) << "freed frame " << frame;
+      }
+    }
+    ASSERT_EQ(table.node_count(), nodes.size()) << "step=" << step;
+    ASSERT_EQ(table.present_leaf_count(), leaves.size()) << "step=" << step;
+  }
+
+  // Final sweep: every model page walks as predicted and is owned, and
+  // for_each_leaf visits exactly the model's leaves, ascending.
+  for (const auto& [leaf_va, frame] : leaves) {
+    ASSERT_NO_FATAL_FAILURE(expect_walk(leaf_va, -1));
+  }
+  for (const std::uint64_t frame : live_frames) {
+    ASSERT_TRUE(table.owns_table_frame(frame)) << "frame " << frame;
+  }
+  using Leaves = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  Leaves visited;
+  table.for_each_leaf(
+      [&](std::uint64_t va, const Pte& pte) { visited.emplace_back(va, pte.frame_number()); });
+  EXPECT_EQ(visited, Leaves(leaves.begin(), leaves.end()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PageTableTreeModel,
+                         ::testing::ValuesIn(sharded_seeds({5, 29, 89, 401, 1723})));
 
 // --- Calendar queue vs binary-heap oracle, all tie policies ---
 //

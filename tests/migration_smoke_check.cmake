@@ -16,7 +16,9 @@
 #   - The same after the checkpoint's tail is torn mid-record: the resume
 #     reports the torn tail, reruns the cut cell and still matches.
 #   - simcheck's report is the same with and without --checkpoint, and
-#     after its checkpoint's tail is torn and the sweep resumed.
+#     after its checkpoint's tail is torn and the sweep resumed; its
+#     completed checkpoint file is the same at --jobs 1 and --jobs 8, for a
+#     clean sweep and a failing one, and again after the torn-tail resume.
 # The truncations use coreutils `truncate`.
 
 foreach(var MATRIX SIMCHECK JQ OUT_DIR)
@@ -67,6 +69,20 @@ function(expect_contains file needle what)
     message(FATAL_ERROR "${what}: ${file} lacks \"${needle}\":\n${text}")
   endif()
   message(STATUS "ok: ${what}")
+endfunction()
+
+# Sets `out_var` to the size in bytes of a checkpoint file's last record:
+# the bytes from its last frame magic ("WALR") on.
+function(last_record_bytes file out_var)
+  file(READ "${OUT_DIR}/${file}" hex HEX)
+  string(FIND "${hex}" "57414c52" pos REVERSE)
+  math(EXPR nibble "${pos} % 2")
+  if(pos EQUAL -1 OR nibble EQUAL 1)
+    message(FATAL_ERROR "${file}: no frame magic on a byte boundary")
+  endif()
+  string(LENGTH "${hex}" len)
+  math(EXPR bytes "(${len} - ${pos}) / 2")
+  set(${out_var} ${bytes} PARENT_SCOPE)
 endfunction()
 
 # Drops the last `bytes` bytes of a file, as a crash mid-append would.
@@ -125,16 +141,39 @@ expect_same(straight.json torn-resumed.json
 expect_same(straight.wal torn.wal
             "a completed checkpoint is the same after a torn tail")
 
-# simcheck: checkpoint resume identity, torn tail included.
+# simcheck: checkpoint resume identity, torn tail included, and completed
+# checkpoint files that do not depend on --jobs.
 set(sim_spec --modes pvm,kvm-spt --seeds 4)
 run_expect(0 "simcheck straight" sim-straight.txt sim-straight.err
            "${SIMCHECK}" ${sim_spec} --jobs 8)
 run_expect(0 "simcheck --checkpoint" sim-ckpt.txt sim-ckpt.err
            "${SIMCHECK}" ${sim_spec} --checkpoint sim.wal)
 expect_same(sim-straight.txt sim-ckpt.txt "simcheck --checkpoint equals the straight report")
-tear(sim.wal 29)
+foreach(jobs 1 8)
+  run_expect(0 "simcheck --checkpoint --jobs ${jobs}" unused.out sim-j${jobs}.err
+             "${SIMCHECK}" ${sim_spec} --jobs ${jobs} --checkpoint sim-j${jobs}.wal)
+  # A failing sweep exits with its count of failing combinations (all six).
+  run_expect(6 "simcheck --debug-corrupt-from-seed 2 --jobs ${jobs}" unused.out
+             corrupt-j${jobs}.err "${SIMCHECK}" ${sim_spec} --debug-corrupt-from-seed 2
+             --jobs ${jobs} --checkpoint corrupt-j${jobs}.wal)
+endforeach()
+expect_same(sim-j1.wal sim-j8.wal
+            "a completed simcheck checkpoint is the same at --jobs 1 and --jobs 8")
+expect_same(sim-j1.wal sim.wal
+            "a completed simcheck checkpoint is the same at the default --jobs")
+expect_same(corrupt-j1.wal corrupt-j8.wal
+            "a failing sweep's completed checkpoint is the same at --jobs 1 and --jobs 8")
+# Cut through the trailing kCheckpoint record and 29 bytes into the last
+# case record: that one case reruns, the other 23 replay.
+last_record_bytes(sim.wal checkpoint_bytes)
+math(EXPR cut "${checkpoint_bytes} + 29")
+tear(sim.wal ${cut})
 run_expect(0 "simcheck resumed from a torn tail" sim-resumed.txt sim-err.txt
            "${SIMCHECK}" ${sim_spec} --checkpoint sim.wal --jobs 8)
 expect_contains(sim-err.txt "checkpoint tail truncated" "simcheck reports the torn tail")
+expect_contains(sim-err.txt "simcheck: replayed 23 case(s) from sim.wal"
+                "simcheck replays every case but the torn one")
 expect_same(sim-straight.txt sim-resumed.txt
             "simcheck resumed from a torn tail equals the straight report")
+expect_same(sim-j1.wal sim.wal
+            "a simcheck checkpoint re-completed after a torn tail equals the straight one")

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "src/core/memory_engine.h"
 #include "src/fault/fault.h"
@@ -239,6 +240,34 @@ TEST(ResumeLogTest, ReplayReturnsPayloadsByIndex) {
   EXPECT_EQ(r.records[5].type, wal::RecordType::kCheckpoint);
   std::remove(path.c_str());
   std::remove(in_order_path.c_str());
+}
+
+TEST(ResumeLogTest, CompleteLeavesOutJobsWithoutAPayload) {
+  const std::string path = fresh_checkpoint("complete_skip");
+  wal::ResumeLog::Status status;
+  wal::ResumeLog log = resume_log(path, 4);
+  replay_all(log, &status);
+  // Job 3 ran, as a parallel sweep runs past a failure, but the sweep's
+  // merge read only jobs 0 and 1.
+  log.append(3, "three");
+  log.append(1, "one");
+  log.append(0, "zero");
+  log.complete([](std::size_t i) -> std::optional<std::string> {
+    if (i >= 2) {
+      return std::nullopt;
+    }
+    return "job" + std::to_string(i);
+  });
+  const wal::RecoveryResult r = wal::recover(read_file(path));
+  ASSERT_EQ(r.records.size(), 4u);  // header, jobs 0 and 1, checkpoint
+  EXPECT_EQ(r.records[3].type, wal::RecordType::kCheckpoint);
+  // A resume replays exactly the jobs the completed file kept.
+  wal::ResumeLog resumed = resume_log(path, 4);
+  EXPECT_EQ(replay_all(resumed, &status),
+            (std::map<std::size_t, std::string>{{0, "job0"}, {1, "job1"}}));
+  EXPECT_EQ(status, wal::ResumeLog::Status::kOk);
+  EXPECT_EQ(resumed.replayed(), 2u);
+  std::remove(path.c_str());
 }
 
 TEST(ResumeLogTest, RecordCutMidPayloadIsDroppedAsTornTail) {
